@@ -1,53 +1,22 @@
-//! Kernel microbenchmarks on the *executable* substrate.
+//! Microbenchmarks on the *executable* substrate: quantization codecs,
+//! full transformer decode steps, the BPE tokenizer and the KV block
+//! allocator.
 //!
-//! The headline here is the real-code-path version of the paper's §3.3
-//! finding: on transformer-shaped weights, the INT8 (outlier-decomposed)
-//! and INT4 (NF4 dequantizing) products pay real per-element overheads
-//! that FP32/FP16 do not — quantization trades memory for arithmetic.
+//! The NT matrix products themselves — f32, f16, INT8 and INT4, fused and
+//! dequantize-then-dot, serial and parallel — are timed by the
+//! `bench_kernels` binary at the committed paper shapes
+//! (`BENCH_kernels.json`), so they have no criterion group here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use edgellm_corpus::{BpeTokenizer, CorpusKind, SyntheticCorpus};
 use edgellm_nn::{TinyCausalLm, TinyConfig, WeightPrecision};
 use edgellm_quant::QuantizedWeights;
-use edgellm_tensor::{matmul::matmul_nt, F16Matrix, Matrix, QInt4Matrix, QInt8Matrix};
+use edgellm_tensor::Matrix;
 use std::hint::black_box;
 
-/// Transformer-ish GEMM shape: (batch×hidden)·(ffn×hidden)ᵀ.
-const M: usize = 32;
+/// Transformer-ish weight shape: (ffn × hidden).
 const K: usize = 256;
 const N: usize = 512;
-
-fn bench_matmul_precisions(c: &mut Criterion) {
-    let x = Matrix::rand_kaiming(M, K, 1);
-    let w = Matrix::rand_normal(N, K, 0.05, 2);
-    let w16 = F16Matrix::from_f32(&w);
-    let w8 = QInt8Matrix::from_f32(&w);
-    let w4 = QInt4Matrix::from_f32(&w);
-    let mut g = c.benchmark_group("matmul_32x256x512");
-    g.bench_function("fp32", |b| b.iter(|| matmul_nt(black_box(&x), black_box(&w))));
-    g.bench_function("fp16_fused", |b| b.iter(|| w16.matmul_nt(black_box(&x))));
-    g.bench_function("fp16_dequant", |b| b.iter(|| w16.matmul_nt_dequant(black_box(&x))));
-    g.bench_function("int8_fused", |b| b.iter(|| w8.matmul_nt(black_box(&x))));
-    g.bench_function("int8_dequant", |b| b.iter(|| w8.matmul_nt_dequant(black_box(&x))));
-    g.bench_function("int4_fused", |b| b.iter(|| w4.matmul_nt(black_box(&x))));
-    g.bench_function("int4_dequant", |b| b.iter(|| w4.matmul_nt_dequant(black_box(&x))));
-    g.finish();
-}
-
-fn bench_thread_scaling(c: &mut Criterion) {
-    // The substrate's parallel dispatch at a decode shape: same kernel,
-    // thread count pinned per measurement (wall-clock scaling is only
-    // visible on a multi-core host; results stay bit-identical anywhere).
-    let x = Matrix::rand_kaiming(1, 512, 11);
-    let w = Matrix::rand_normal(8192, 512, 0.05, 12);
-    let mut g = c.benchmark_group("matmul_nt_1x512x8192_threads");
-    for threads in [1usize, 2, 4] {
-        g.bench_function(format!("t{threads}"), |b| {
-            b.iter(|| rayon::with_num_threads(threads, || matmul_nt(black_box(&x), black_box(&w))))
-        });
-    }
-    g.finish();
-}
 
 fn bench_quantize_codecs(c: &mut Criterion) {
     let w = Matrix::rand_normal(N, K, 0.05, 3);
@@ -113,7 +82,6 @@ fn bench_kv_allocator(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(30);
-    targets = bench_matmul_precisions, bench_thread_scaling, bench_quantize_codecs,
-        bench_transformer_decode, bench_bpe, bench_kv_allocator
+    targets = bench_quantize_codecs, bench_transformer_decode, bench_bpe, bench_kv_allocator
 }
 criterion_main!(kernels);

@@ -19,9 +19,11 @@
 //! fused-vs-dequant speedups (dequant ns / fused ns, per shape and
 //! precision) against a committed baseline and exits non-zero when any
 //! shared shape regresses by more than `--tolerance` (default 0.25,
-//! i.e. 25%). The gate is skipped — with a message — when this run's
-//! `parallel_valid` is false: a single-core host time-slices everything
-//! and its timings are too noisy to gate on.
+//! i.e. 25%), or when `int8_fused` is slower than `int8_dequant` (serial)
+//! at any shape of this run; the INT4 ordering is printed, not gated. The
+//! parallel-speedup comparison is skipped — with a message — when either
+//! side's `parallel_valid` is false: a single-core host time-slices
+//! everything and its parallel timings are too noisy to gate on.
 //!
 //! `--trace-out <path>` (or `EDGELLM_TRACE=<path>`) also renders the
 //! best-of measurements as a synthetic Perfetto timeline: one span per
@@ -153,6 +155,11 @@ fn render_trace(records: &[Record]) -> Trace {
     t
 }
 
+/// Precisions whose fused kernel must be at least as fast as
+/// dequantize-then-dot, serial, at every shape of a run. The INT4 and f16
+/// orderings are printed, not gated.
+const FUSED_MUST_WIN: &[&str] = &["int8"];
+
 /// Serial fused-vs-dequant speedups (`dequant_ns / fused_ns`) keyed by
 /// `shape/precision`, e.g. `phi2_decode/int4`. Sorted for stable output.
 fn fused_speedups(entries: &[(String, String, u128)]) -> Vec<(String, f64)> {
@@ -226,10 +233,13 @@ fn parse_baseline(text: &str) -> Result<Baseline, String> {
     Ok(Baseline { parallel_valid, entries })
 }
 
-/// Gate this run against a committed baseline. Two families of checks:
+/// Gate this run against a committed baseline. Three families of checks:
 ///
 /// * **serial fused-vs-dequant speedups** per `shape/precision` — always
 ///   compared (best-of serial timings are stable even on small hosts);
+/// * **fused-vs-dequant ordering** in this run alone — a precision in
+///   [`FUSED_MUST_WIN`] whose fused kernel is slower than its dequant
+///   reference at any shape is a regression; the others are printed;
 /// * **parallel speedups** per `shape/kernel` — compared only when BOTH
 ///   the baseline and this run have `parallel_valid` timings. A
 ///   `parallel_valid: false` baseline skips this family with an explicit
@@ -264,6 +274,16 @@ fn check_against(
     }
     if shared == 0 {
         return Err("baseline and this run share no shape/precision pairs".into());
+    }
+    for (key, speedup) in &now_fused {
+        let precision = key.rsplit('/').next().unwrap_or_default();
+        if FUSED_MUST_WIN.contains(&precision) {
+            let verdict = if *speedup < 1.0 { "SLOWER THAN DEQUANT" } else { "ok" };
+            eprintln!("  {key:<24} fused {speedup:.3}x dequant (must be >= 1) {verdict}");
+            regressions += usize::from(*speedup < 1.0);
+        } else {
+            eprintln!("  {key:<24} fused {speedup:.3}x dequant (reported, not gated)");
+        }
     }
     if !base.parallel_valid {
         eprintln!(
@@ -479,6 +499,24 @@ mod tests {
         assert_eq!(check_against(BASELINE, &fresh(150, 300), 0.25, false).unwrap(), 1);
         // ...but within a looser 50% tolerance.
         assert_eq!(check_against(BASELINE, &fresh(150, 300), 0.5, false).unwrap(), 0);
+    }
+
+    #[test]
+    fn int8_fused_must_not_lose_to_dequant_but_int4_may() {
+        let base = BASELINE.replace("int4_", "int8_");
+        let int8 = |fused_ns, dequant_ns| {
+            let mut recs = fresh(fused_ns, dequant_ns);
+            for r in &mut recs {
+                r.kernel = r.kernel.replace("int4_", "int8_");
+            }
+            recs
+        };
+        // A 0.9 tolerance puts the speedup floor at 0.3x against the
+        // 3.0x baseline, so only the ordering can fail here.
+        assert_eq!(check_against(&base, &int8(240, 300), 0.9, false).unwrap(), 0);
+        assert_eq!(check_against(&base, &int8(310, 300), 0.9, false).unwrap(), 1);
+        // The same ordering at INT4 is reported, not counted.
+        assert_eq!(check_against(BASELINE, &fresh(310, 300), 0.9, false).unwrap(), 0);
     }
 
     #[test]

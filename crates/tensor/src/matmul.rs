@@ -127,15 +127,20 @@ pub mod policy {
 
     /// Dispatch for the fused INT8 two-stream kernel (`QInt8Matrix`),
     /// separated from [`matmul_quant_nt`] because its column-parallel
-    /// decode path *loses*: `BENCH_kernels.json` pins int8_fused at
-    /// 0.66× parallel speedup at m = 1 on both the Phi-2 and Llama-8B
-    /// decode shapes, while the f16/int4 fused kernels hold ≥ 1.0×
-    /// there. The i32 inlier product is so much cheaper per element than
-    /// a codebook or f16 decode that the column split's per-block
-    /// overhead (fork/join plus re-touching the quantized activation
-    /// row from every worker) dominates the arithmetic it divides.
-    /// Decode shapes therefore stay serial; batched shapes keep the row
-    /// split, which does win (1.05× at m = 32).
+    /// decode path *lost*: on the per-element kernel that preceded the
+    /// register tile, `bench_kernels` measured int8_fused at 0.66×
+    /// parallel speedup at m = 1 on both the Phi-2 and Llama-8B decode
+    /// shapes (single-core host), while the f16/int4 fused kernels held
+    /// ≥ 1.0× there, and the row split won 1.05× at m = 32. The i32
+    /// inlier product is so much cheaper per element than a codebook or
+    /// f16 decode that the column split's per-block overhead (fork/join
+    /// plus re-touching the quantized activation row from every worker)
+    /// dominates the arithmetic it divides. The tiled kernel made each
+    /// element cheaper still — serial int8_fused runs the Phi-2 decode
+    /// shape in 5.8 ms against 29.6 ms for dequantize-then-dot and 8.5 ms
+    /// for int4_fused (`BENCH_kernels.json`) — so decode shapes stay
+    /// serial and batched shapes keep the row split. Neither split has
+    /// been re-timed on a multi-core host since.
     pub fn matmul_int8_nt(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let elems = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || m < 2 || elems < 2 * QUANT_MIN_ELEMS_PER_THREAD {
@@ -539,10 +544,10 @@ mod tests {
 
         #[test]
         fn int8_decode_shapes_stay_serial() {
-            // The BENCH_kernels.json regression pin: int8_fused measured
-            // 0.66× at m = 1 under the column split, so the int8 policy
-            // must never dispatch it — exactly the phi2/llama8b decode
-            // shapes the bench runs.
+            // int8_fused measured 0.66× at m = 1 under the column split
+            // (per-element kernel; see `matmul_int8_nt`), so the int8
+            // policy must never dispatch it — exactly the phi2/llama8b
+            // decode shapes `bench_kernels` runs.
             assert_eq!(matmul_int8_nt(1, 10_240, 2_560, 4), Dispatch::Serial);
             assert_eq!(matmul_int8_nt(1, 14_336, 4_096, 4), Dispatch::Serial);
             // Verify-batch shapes (m = 2..8) row-split instead of
@@ -550,7 +555,7 @@ mod tests {
             assert_eq!(matmul_int8_nt(4, 10_240, 2_560, 4), Dispatch::RowParallel);
             assert_eq!(matmul_int8_nt(1, 16, 64, 8), Dispatch::Serial);
             assert_eq!(matmul_int8_nt(512, 4096, 4096, 1), Dispatch::Serial);
-            // Batched prefill keeps its measured 1.05× row split.
+            // Batched prefill keeps its row split.
             assert_eq!(matmul_int8_nt(32, 10_240, 2_560, 4), Dispatch::RowParallel);
         }
     }

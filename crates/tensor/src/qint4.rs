@@ -36,6 +36,23 @@ pub const NF4_LEVELS: [f32; 16] = [
     1.0,
 ];
 
+/// [`NF4_LEVELS`] of both nibbles of one packed byte, `[low, high]`: one
+/// table load decodes a pair of weights. The entries are copies of the
+/// levels, so a product through this table has the same bits as one
+/// through `NF4_LEVELS`.
+static NF4_PAIRS: [[f32; 2]; 256] = {
+    let mut t = [[0.0f32; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = [NF4_LEVELS[b & 0x0f], NF4_LEVELS[b >> 4]];
+        b += 1;
+    }
+    t
+};
+
+/// Weight rows per register tile of the fused product.
+const TILE: usize = 4;
+
 /// Nearest codebook index for a normalized value in [−1, 1].
 #[inline]
 fn nearest_level(v: f32) -> u8 {
@@ -135,24 +152,37 @@ impl QInt4Matrix {
         out
     }
 
+    /// The `BLOCK / 2` packed bytes of block `b` of weight row `c`. Blocks
+    /// are padded to `BLOCK` codes, so the bytes always exist; `BLOCK` is
+    /// even, so nibble parity matches the in-block index.
+    #[inline]
+    fn block_bytes(&self, c: usize, b: usize) -> &[u8] {
+        let base2 = (c * self.blocks_per_row + b) * BLOCK / 2;
+        &self.packed[base2..base2 + BLOCK / 2]
+    }
+
+    /// Columns of block `b`: `start..end`.
+    #[inline]
+    fn block_span(&self, b: usize) -> (usize, usize) {
+        let start = b * BLOCK;
+        (start, (start + BLOCK).min(self.cols))
+    }
+
     /// One fused output element: `dot(xr, w.row(c))` accumulated block by
     /// block **directly from the packed nibbles** — no dequantized weight
     /// row is materialized. Per block, the low- and high-nibble lanes
     /// accumulate independently (two ILP chains), combine, and the block
     /// scale is applied once to the partial sum. The accumulation order
     /// depends only on `(xr, c)`, so results are bit-identical across batch
-    /// sizes, dispatch paths and thread counts.
+    /// sizes, dispatch paths and thread counts. The tail path of
+    /// [`Self::fused_tile`] and its bit-level reference.
     #[inline]
     fn fused_dot(&self, xr: &[f32], c: usize) -> f32 {
         let mut total = 0.0f32;
         for b in 0..self.blocks_per_row {
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(self.cols);
+            let (start, end) = self.block_span(b);
             let nb = end - start;
-            // Blocks are padded to BLOCK codes, so BLOCK/2 bytes always
-            // exist; BLOCK is even, so nibble parity matches in-block index.
-            let base2 = (c * self.blocks_per_row + b) * BLOCK / 2;
-            let bytes = &self.packed[base2..base2 + BLOCK / 2];
+            let bytes = self.block_bytes(c, b);
             let xs = &xr[start..end];
             let pairs = nb / 2;
             let (mut lo, mut hi) = (0.0f32, 0.0f32);
@@ -168,85 +198,145 @@ impl QInt4Matrix {
         total
     }
 
-    /// Decode one row's codebook **levels** (unscaled) into a caller
-    /// buffer. Scales are applied blockwise by the batched product so the
-    /// arithmetic matches [`Self::fused_dot`] bit for bit.
-    fn decode_levels_into(&self, r: usize, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.cols);
-        for b in 0..self.blocks_per_row {
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(self.cols);
-            for (i, o) in out[start..end].iter_mut().enumerate() {
-                let flat = (r * self.blocks_per_row + b) * BLOCK + i;
-                let byte = self.packed[flat / 2];
-                let code = if flat.is_multiple_of(2) { byte & 0x0f } else { byte >> 4 };
-                *o = NF4_LEVELS[code as usize];
-            }
-        }
-    }
-
-    /// [`Self::fused_dot`] reading pre-decoded levels instead of unpacking
-    /// nibbles — the batch-amortized variant. Identical accumulation
-    /// order and identical factor values (a stored `NF4_LEVELS[i]` reads
-    /// back exactly), so the result is **bitwise equal** to `fused_dot`.
+    /// [`Self::fused_dot`] for the [`TILE`] weight rows `c..c + TILE` in one
+    /// pass over `xr`, reading the packed nibbles. Each activation pair is
+    /// loaded once for the tile; each row keeps its own `(lo, hi)` chains
+    /// and its own block-scale order, so every result has the bits of
+    /// `fused_dot(xr, c + t)` — only independent chains are interleaved.
     #[inline]
-    fn fused_dot_decoded(&self, xr: &[f32], c: usize, levels: &[f32]) -> f32 {
-        let mut total = 0.0f32;
+    fn fused_dot_x4(&self, xr: &[f32], c: usize) -> [f32; TILE] {
+        let mut total = [0.0f32; TILE];
         for b in 0..self.blocks_per_row {
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(self.cols);
+            let (start, end) = self.block_span(b);
             let nb = end - start;
-            let xs = &xr[start..end];
-            let ls = &levels[start..end];
             let pairs = nb / 2;
-            let (mut lo, mut hi) = (0.0f32, 0.0f32);
-            for p in 0..pairs {
-                lo += xs[2 * p] * ls[2 * p];
-                hi += xs[2 * p + 1] * ls[2 * p + 1];
+            let xs = &xr[start..end];
+            let bytes: [&[u8]; TILE] = std::array::from_fn(|t| self.block_bytes(c + t, b));
+            let (mut lo, mut hi) = ([0.0f32; TILE], [0.0f32; TILE]);
+            for (p, x) in xs[..2 * pairs].chunks_exact(2).enumerate() {
+                for t in 0..TILE {
+                    let [l0, l1] = NF4_PAIRS[bytes[t][p] as usize];
+                    lo[t] += x[0] * l0;
+                    hi[t] += x[1] * l1;
+                }
             }
             if nb % 2 == 1 {
-                lo += xs[nb - 1] * ls[nb - 1];
+                for t in 0..TILE {
+                    lo[t] += xs[nb - 1] * NF4_LEVELS[(bytes[t][pairs] & 0x0f) as usize];
+                }
             }
-            total += (lo + hi) * self.scales[c * self.blocks_per_row + b];
+            for t in 0..TILE {
+                total[t] += (lo[t] + hi[t]) * self.scales[(c + t) * self.blocks_per_row + b];
+            }
         }
         total
     }
 
+    /// Decode the codebook **levels** (unscaled) of weight rows
+    /// `c..c + TILE` interleaved: `out[k][t]` is the level of `(c + t, k)`.
+    fn decode_levels_x4(&self, c: usize, out: &mut [[f32; TILE]]) {
+        debug_assert_eq!(out.len(), self.cols);
+        for b in 0..self.blocks_per_row {
+            let (start, end) = self.block_span(b);
+            for t in 0..TILE {
+                let bytes = self.block_bytes(c + t, b);
+                for (i, o) in out[start..end].iter_mut().enumerate() {
+                    o[t] = NF4_PAIRS[bytes[i / 2] as usize][i % 2];
+                }
+            }
+        }
+    }
+
+    /// [`Self::fused_dot_x4`] reading levels pre-decoded by
+    /// [`Self::decode_levels_x4`] — the batch-amortized variant. The
+    /// interleaved layout puts the tile's four levels of one column side
+    /// by side, so each step is one four-wide multiply-add with every lane
+    /// in `fused_dot`'s order; a stored level reads back exactly, so the
+    /// bits are equal too.
+    #[inline]
+    fn fused_dot_decoded_x4(&self, xr: &[f32], c: usize, levels: &[[f32; TILE]]) -> [f32; TILE] {
+        let mut total = [0.0f32; TILE];
+        for b in 0..self.blocks_per_row {
+            let (start, end) = self.block_span(b);
+            let nb = end - start;
+            let pairs = nb / 2;
+            let xs = &xr[start..end];
+            let ls = &levels[start..end];
+            let (mut lo, mut hi) = ([0.0f32; TILE], [0.0f32; TILE]);
+            for (x, l) in xs[..2 * pairs].chunks_exact(2).zip(ls.chunks_exact(2)) {
+                for t in 0..TILE {
+                    lo[t] += x[0] * l[0][t];
+                    hi[t] += x[1] * l[1][t];
+                }
+            }
+            if nb % 2 == 1 {
+                for t in 0..TILE {
+                    lo[t] += xs[nb - 1] * ls[nb - 1][t];
+                }
+            }
+            for t in 0..TILE {
+                total[t] += (lo[t] + hi[t]) * self.scales[(c + t) * self.blocks_per_row + b];
+            }
+        }
+        total
+    }
+
+    /// Fill `out[i·stride + j] = fused_dot(x.row(r0 + i), c0 + j)` for
+    /// `i < rows` and `j < cols`. Weight rows go [`TILE`] at a time: a
+    /// single activation row reads the nibbles directly
+    /// ([`Self::fused_dot_x4`]); a batch decodes the tile once and shares
+    /// it across every row ([`Self::fused_dot_decoded_x4`]). Leftover
+    /// columns take `fused_dot`.
+    #[allow(clippy::too_many_arguments)] // internal kernel: tile coordinates are clearer flat than bundled
+    fn fused_tile(
+        &self,
+        x: &Matrix,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        let mut levels = if rows > 1 { vec![[0.0f32; TILE]; self.cols] } else { Vec::new() };
+        let mut j = 0;
+        while j + TILE <= cols {
+            let c = c0 + j;
+            if rows == 1 {
+                out[j..j + TILE].copy_from_slice(&self.fused_dot_x4(x.row(r0), c));
+            } else {
+                self.decode_levels_x4(c, &mut levels);
+                for i in 0..rows {
+                    let base = i * stride + j;
+                    out[base..base + TILE].copy_from_slice(&self.fused_dot_decoded_x4(
+                        x.row(r0 + i),
+                        c,
+                        &levels,
+                    ));
+                }
+            }
+            j += TILE;
+        }
+        for j in j..cols {
+            for i in 0..rows {
+                out[i * stride + j] = self.fused_dot(x.row(r0 + i), c0 + j);
+            }
+        }
+    }
+
     /// `Y = X · Wᵀ` **fused**: accumulates directly from the packed 4-bit
     /// codes (see `fused_dot`), parallelized per
-    /// [`policy::matmul_quant_nt`]. Batched blocks decode each weight row
-    /// once and share it across the batch (`fused_dot_decoded`);
-    /// both variants produce the same bits, so outputs never depend on the
-    /// batch size, dispatch path or thread count.
+    /// [`policy::matmul_quant_nt`]. Every dispatch path runs the same
+    /// four-row register tile, whose variants all produce `fused_dot`'s
+    /// bits, so outputs never depend on the batch size, dispatch path or
+    /// thread count.
     pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols, self.cols, "inner dimensions must match");
         let (m, n) = (x.rows, self.rows);
-        let mut out = Matrix::zeros(m, n);
         if m == 0 || n == 0 {
-            return out;
+            return Matrix::zeros(m, n);
         }
-        let threads = rayon::current_num_threads();
-        // Weight-row-outer / batch-row-inner: each packed row (the
-        // dominant memory traffic) is streamed once per batch block, not
-        // once per batch row. Loop order cannot change the bits — every
-        // element depends only on its own (activation row, weight row).
-        let fill_block = |rows: std::ops::Range<usize>, blk: &mut [f32]| {
-            if rows.len() == 1 {
-                let xr = x.row(rows.start);
-                for (c, o) in blk.iter_mut().enumerate() {
-                    *o = self.fused_dot(xr, c);
-                }
-                return;
-            }
-            let mut levels = vec![0.0f32; self.cols];
-            for c in 0..n {
-                self.decode_levels_into(c, &mut levels);
-                for (i, r) in rows.clone().enumerate() {
-                    blk[i * n + c] = self.fused_dot_decoded(x.row(r), c, &levels);
-                }
-            }
-        };
-        let dispatch = policy::matmul_quant_nt(m, n, self.cols, threads);
+        let dispatch = policy::matmul_quant_nt(m, n, self.cols, rayon::current_num_threads());
         #[cfg(feature = "trace")]
         let _t = edgellm_trace::kernels::timer(
             crate::matmul::instrument::pick(
@@ -257,24 +347,27 @@ impl QInt4Matrix {
             ),
             (m * n) as u64 * self.cols as u64,
         );
+        self.matmul_nt_on(x, dispatch)
+    }
+
+    /// [`Self::matmul_nt`] on a given dispatch path (`x` non-empty).
+    fn matmul_nt_on(&self, x: &Matrix, dispatch: policy::Dispatch) -> Matrix {
+        let (m, n) = (x.rows, self.rows);
+        let mut out = Matrix::zeros(m, n);
         match dispatch {
-            policy::Dispatch::Serial => fill_block(0..m, out.as_mut_slice()),
+            policy::Dispatch::Serial => self.fused_tile(x, 0, m, 0, n, out.as_mut_slice(), n),
             policy::Dispatch::RowParallel => {
-                let rpu = m.div_ceil(threads).clamp(1, 8);
+                let rpu = m.div_ceil(rayon::current_num_threads()).clamp(1, 8);
                 out.as_mut_slice().par_chunks_mut(n * rpu).enumerate().for_each(|(b, blk)| {
-                    let r0 = b * rpu;
-                    fill_block(r0..r0 + blk.len() / n, blk);
+                    self.fused_tile(x, b * rpu, blk.len() / n, 0, n, blk, n);
                 });
             }
             policy::Dispatch::ColParallel => {
                 for r in 0..m {
-                    let xr = x.row(r);
                     out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
                         |(cb, seg)| {
-                            let c0 = cb * policy::COL_BLOCK;
-                            for (j, o) in seg.iter_mut().enumerate() {
-                                *o = self.fused_dot(xr, c0 + j);
-                            }
+                            let cols = seg.len();
+                            self.fused_tile(x, r, 1, cb * policy::COL_BLOCK, cols, seg, cols);
                         },
                     );
                 }
@@ -368,6 +461,50 @@ mod tests {
         for (a, b) in fused.as_slice().iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-4 * (1.0 + b.abs()), "{a} vs {b}");
         }
+    }
+
+    /// The tiled product against the per-element reference `fused_dot`,
+    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: m = 1..=9
+    /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
+    /// several column-parallel segments.
+    fn assert_tiled_matches_reference(k: usize) {
+        use policy::Dispatch;
+        for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
+            let q = QInt4Matrix::from_f32(&Matrix::rand_normal(n, k, 0.05, n as u64));
+            let max_m = if n > 13 { 2 } else { 9 };
+            for m in 1..=max_m {
+                let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
+                for threads in [1, 2, 8] {
+                    for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
+                        let y = rayon::with_num_threads(threads, || q.matmul_nt_on(&x, d));
+                        for r in 0..m {
+                            for c in 0..n {
+                                assert_eq!(
+                                    y.get(r, c).to_bits(),
+                                    q.fused_dot(x.row(r), c).to_bits(),
+                                    "({r},{c}) of m={m} n={n} k={k}, {d:?}, {threads} threads"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matmul_is_bitwise_the_per_element_reference() {
+        // Odd and not a multiple of BLOCK: a 64-wide block, then a short
+        // block with a lone low nibble.
+        assert_tiled_matches_reference(75);
+    }
+
+    #[test]
+    fn tiled_matmul_is_bitwise_the_reference_over_many_blocks() {
+        // Three blocks, the last one three columns wide; and a single
+        // partial block.
+        assert_tiled_matches_reference(131);
+        assert_tiled_matches_reference(33);
     }
 
     #[test]

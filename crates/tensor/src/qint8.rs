@@ -37,6 +37,44 @@ fn idot(a: &[i8], b: &[i8]) -> i32 {
     s
 }
 
+/// Weight rows per register tile of the fused product.
+const TILE: usize = 4;
+
+/// i32 accumulator lanes per weight row in [`idot_x4`].
+const LANES: usize = 16;
+
+/// Register-tiled micro-kernel: [`idot`] of `x` against four code rows in
+/// one pass. Each `LANES`-wide activation chunk is loaded once for all
+/// four rows, and each row accumulates into its own `LANES` exact i32
+/// lanes, so LLVM vectorizes the loop. Integer addition is exact, so every
+/// result equals `idot(x, w[t])` whatever the lane structure.
+#[inline]
+fn idot_x4(x: &[i8], w: [&[i8]; TILE]) -> [i32; TILE] {
+    let k = x.len();
+    let body = k - k % LANES;
+    let mut acc = [[0i32; LANES]; TILE];
+    for j in (0..body).step_by(LANES) {
+        let xc = &x[j..j + LANES];
+        let [c0, c1, c2, c3] = w.map(|r| &r[j..j + LANES]);
+        for l in 0..LANES {
+            let xv = xc[l] as i32;
+            acc[0][l] += xv * c0[l] as i32;
+            acc[1][l] += xv * c1[l] as i32;
+            acc[2][l] += xv * c2[l] as i32;
+            acc[3][l] += xv * c3[l] as i32;
+        }
+    }
+    let mut out = [0i32; TILE];
+    for (o, (a, r)) in out.iter_mut().zip(acc.iter().zip(w)) {
+        let mut s: i32 = a.iter().sum();
+        for j in body..k {
+            s += x[j] as i32 * r[j] as i32;
+        }
+        *o = s;
+    }
+    out
+}
+
 /// One activation row, pre-quantized for the fused INT8 product: the
 /// inlier features as i8 codes with their absmax scale, and the outlier
 /// features gathered as f32. Computed **once per activation row** and
@@ -179,19 +217,69 @@ impl QInt8Matrix {
         QuantizedRow { x_in, xs, x_out }
     }
 
-    /// One fused output element: exact i32 inlier product + f32 outlier dot.
+    /// Packed inlier codes of weight row `c`.
     #[inline]
-    fn fused_elem(&self, q: &QuantizedRow, c: usize) -> f32 {
+    fn code_row(&self, c: usize) -> &[i8] {
         let n_in = self.inlier_cols.len();
+        &self.codes[c * n_in..(c + 1) * n_in]
+    }
+
+    /// Close one output element from its exact i32 inlier product: scale
+    /// it, then add the f32 outlier dot.
+    #[inline]
+    fn finish_elem(&self, q: &QuantizedRow, c: usize, int: i32) -> f32 {
         let n_out = self.outlier_cols.len();
-        let int_part =
-            idot(&q.x_in, &self.codes[c * n_in..(c + 1) * n_in]) as f32 * q.xs * self.scales[c];
+        let int_part = int as f32 * q.xs * self.scales[c];
         let fp_part = if n_out > 0 {
             dot(&q.x_out, &self.outlier_weights[c * n_out..(c + 1) * n_out])
         } else {
             0.0
         };
         int_part + fp_part
+    }
+
+    /// One fused output element: exact i32 inlier product + f32 outlier
+    /// dot. The tail path of [`Self::fused_tile`] and its bit-level
+    /// reference.
+    #[inline]
+    fn fused_elem(&self, q: &QuantizedRow, c: usize) -> f32 {
+        self.finish_elem(q, c, idot(&q.x_in, self.code_row(c)))
+    }
+
+    /// Fill `out[i·stride + j] = fused_elem(qrows[i], c0 + j)` for every
+    /// activation row `i` and `j < cols`. Weight rows go [`TILE`] at a
+    /// time through [`idot_x4`], each tile of code rows reused across
+    /// every activation row; leftover columns take `fused_elem`.
+    fn fused_tile(
+        &self,
+        qrows: &[QuantizedRow],
+        c0: usize,
+        cols: usize,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        let mut j = 0;
+        while j + TILE <= cols {
+            let c = c0 + j;
+            let w = [
+                self.code_row(c),
+                self.code_row(c + 1),
+                self.code_row(c + 2),
+                self.code_row(c + 3),
+            ];
+            for (i, q) in qrows.iter().enumerate() {
+                let ints = idot_x4(&q.x_in, w);
+                for (t, &int) in ints.iter().enumerate() {
+                    out[i * stride + j + t] = self.finish_elem(q, c + t, int);
+                }
+            }
+            j += TILE;
+        }
+        for j in j..cols {
+            for (i, q) in qrows.iter().enumerate() {
+                out[i * stride + j] = self.fused_elem(q, c0 + j);
+            }
+        }
     }
 
     /// `Y = X · Wᵀ` through the mixed INT8 + f32-outlier path, **fused**:
@@ -206,27 +294,10 @@ impl QInt8Matrix {
     pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols, self.cols, "inner dimensions must match");
         let (m, n) = (x.rows, self.rows);
-        let mut out = Matrix::zeros(m, n);
         if m == 0 || n == 0 {
-            return out;
+            return Matrix::zeros(m, n);
         }
-        let threads = rayon::current_num_threads();
-        // Quantize every activation row up front (once per row, shared by
-        // all dispatch paths and weight rows).
-        let qrows: Vec<QuantizedRow> = (0..m).map(|r| self.quantize_row(x.row(r))).collect();
-        // Weight-row-outer / batch-row-inner loop order: each packed code
-        // row is streamed from memory once and reused across the whole
-        // batch block (the codes are the dominant traffic). Loop order
-        // cannot change the bits — each element depends only on its own
-        // (activation row, weight row) pair.
-        let fill_block = |rows: std::ops::Range<usize>, blk: &mut [f32]| {
-            for c in 0..n {
-                for (i, r) in rows.clone().enumerate() {
-                    blk[i * n + c] = self.fused_elem(&qrows[r], c);
-                }
-            }
-        };
-        let dispatch = policy::matmul_int8_nt(m, n, self.cols, threads);
+        let dispatch = policy::matmul_int8_nt(m, n, self.cols, rayon::current_num_threads());
         #[cfg(feature = "trace")]
         let _t = edgellm_trace::kernels::timer(
             crate::matmul::instrument::pick(
@@ -237,23 +308,35 @@ impl QInt8Matrix {
             ),
             (m * n) as u64 * self.cols as u64,
         );
+        self.matmul_nt_on(x, dispatch)
+    }
+
+    /// [`Self::matmul_nt`] on a given dispatch path (`x` non-empty).
+    fn matmul_nt_on(&self, x: &Matrix, dispatch: policy::Dispatch) -> Matrix {
+        let (m, n) = (x.rows, self.rows);
+        let mut out = Matrix::zeros(m, n);
+        // Quantize every activation row up front (once per row, shared by
+        // all dispatch paths and weight rows).
+        let qrows: Vec<QuantizedRow> = (0..m).map(|r| self.quantize_row(x.row(r))).collect();
+        // Every path runs `fused_tile`: weight-tile outer, batch-row inner,
+        // so each packed code tile is streamed once per batch block. Loop
+        // order cannot change the bits — each element depends only on its
+        // own (activation row, weight row) pair.
         match dispatch {
-            policy::Dispatch::Serial => fill_block(0..m, out.as_mut_slice()),
+            policy::Dispatch::Serial => self.fused_tile(&qrows, 0, n, out.as_mut_slice(), n),
             policy::Dispatch::RowParallel => {
-                let rpu = m.div_ceil(threads).clamp(1, 8);
+                let rpu = m.div_ceil(rayon::current_num_threads()).clamp(1, 8);
                 out.as_mut_slice().par_chunks_mut(n * rpu).enumerate().for_each(|(b, blk)| {
                     let r0 = b * rpu;
-                    fill_block(r0..r0 + blk.len() / n, blk);
+                    self.fused_tile(&qrows[r0..r0 + blk.len() / n], 0, n, blk, n);
                 });
             }
             policy::Dispatch::ColParallel => {
-                for (r, q) in qrows.iter().enumerate() {
+                for r in 0..m {
                     out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
                         |(cb, seg)| {
                             let c0 = cb * policy::COL_BLOCK;
-                            for (j, o) in seg.iter_mut().enumerate() {
-                                *o = self.fused_elem(q, c0 + j);
-                            }
+                            self.fused_tile(&qrows[r..r + 1], c0, seg.len(), seg, seg.len());
                         },
                     );
                 }
@@ -385,6 +468,56 @@ mod tests {
         let mut buf = Matrix::zeros(6, 40);
         q.to_f32_into(&mut buf);
         assert_eq!(buf.as_slice(), q.to_f32().as_slice());
+    }
+
+    /// The tiled product against the per-element reference `fused_elem`,
+    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: m = 1..=9
+    /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
+    /// several column-parallel segments. k = 75 is four 16-lane chunks and
+    /// an 11-element tail.
+    fn assert_tiled_matches_reference(outliers: bool) {
+        use policy::Dispatch;
+        let k = 75;
+        for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
+            let mut w = Matrix::rand_kaiming(n, k, n as u64);
+            if outliers {
+                for r in 0..n {
+                    w.set(r, 3, 30.0 + r as f32 * 0.01);
+                    w.set(r, 60, -25.0);
+                }
+            }
+            let q = QInt8Matrix::from_f32(&w);
+            assert_eq!(q.n_outliers(), if outliers { 2 } else { 0 });
+            let max_m = if n > 13 { 2 } else { 9 };
+            for m in 1..=max_m {
+                let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
+                let qrows: Vec<QuantizedRow> = (0..m).map(|r| q.quantize_row(x.row(r))).collect();
+                for threads in [1, 2, 8] {
+                    for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
+                        let y = rayon::with_num_threads(threads, || q.matmul_nt_on(&x, d));
+                        for (r, qr) in qrows.iter().enumerate() {
+                            for c in 0..n {
+                                assert_eq!(
+                                    y.get(r, c).to_bits(),
+                                    q.fused_elem(qr, c).to_bits(),
+                                    "({r},{c}) of m={m} n={n}, {d:?}, {threads} threads"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matmul_is_bitwise_the_per_element_reference() {
+        assert_tiled_matches_reference(false);
+    }
+
+    #[test]
+    fn tiled_matmul_is_bitwise_the_reference_with_outliers() {
+        assert_tiled_matches_reference(true);
     }
 
     #[test]

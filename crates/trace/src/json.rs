@@ -74,7 +74,7 @@ impl Json {
 /// # Errors
 /// A human-readable message with the byte offset of the first violation.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src, bytes: src.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -85,6 +85,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -187,13 +188,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the source is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid) source.
+                    let rest = &self.bytes[self.pos..];
+                    let run =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -380,6 +382,19 @@ mod tests {
     fn parses_escapes() {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
+    }
+
+    #[test]
+    fn parses_multibyte_utf8_and_escapes_in_keys_and_values() {
+        let v = parse(r#"{"clé\t日本": "µs → 🚀\"q\"\u00e9\\", "k\n": ["ñ", "\/é"]}"#).unwrap();
+        let members = v.as_obj().unwrap();
+        assert_eq!(members[0].0, "clé\t日本");
+        assert_eq!(members[0].1.as_str(), Some("µs → 🚀\"q\"é\\"));
+        assert_eq!(members[1].0, "k\n");
+        let arr = members[1].1.as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some("ñ"));
+        assert_eq!(arr[1].as_str(), Some("/é"));
+        assert!(parse(r#""日本"#).unwrap_err().contains("unterminated"));
     }
 
     #[test]

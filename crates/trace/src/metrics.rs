@@ -61,6 +61,9 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
+    /// Bumped by every [`Registry::reset`], so a caller that caches
+    /// instrument handles knows when to look them up again.
+    generation: AtomicU64,
 }
 
 impl Registry {
@@ -151,10 +154,19 @@ impl Registry {
     }
 
     /// Drop every instrument (tests and between experiment runs).
+    /// Handles taken before the reset stay valid but are detached: they
+    /// no longer show in snapshots.
     pub fn reset(&self) {
         self.counters.lock().expect("registry poisoned").clear();
         self.gauges.lock().expect("registry poisoned").clear();
         self.histograms.lock().expect("registry poisoned").clear();
+        self.generation.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// How many times [`Registry::reset`] has run. A handle cached at one
+    /// generation is still registered while the generation is unchanged.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
     }
 }
 
@@ -304,8 +316,10 @@ mod tests {
         assert_eq!(s.histograms["c.ms"].count, 2);
         assert_eq!(s.histograms["c.ms"].mean, 2.0);
         assert!(s.render().contains("a.calls"));
+        let generation = r.generation();
         r.reset();
         assert!(r.snapshot().is_empty());
+        assert_eq!(r.generation(), generation + 1);
     }
 
     #[test]
