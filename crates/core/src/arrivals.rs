@@ -7,6 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::error::RunError;
+
 /// One serving request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
@@ -20,6 +22,25 @@ pub struct Request {
     pub input_tokens: u64,
     /// Tokens to generate.
     pub output_tokens: u64,
+}
+
+/// Check an offline trace a simulator is about to be built over: it must
+/// hold at least one request, and every arrival time must be finite —
+/// simulators order their events by time, and a NaN or infinite instant
+/// has no place in that order. Returns the longest request shape (prompt
+/// plus output tokens), which sizes a simulator's activation reserve.
+pub fn check_trace(requests: &[Request]) -> Result<u64, RunError> {
+    if let Some(r) = requests.iter().find(|r| !r.arrival_s.is_finite()) {
+        return Err(RunError::InvalidConfig(format!(
+            "request {} arrives at non-finite time {}",
+            r.id, r.arrival_s
+        )));
+    }
+    requests
+        .iter()
+        .map(|r| r.input_tokens + r.output_tokens)
+        .max()
+        .ok_or_else(|| RunError::InvalidConfig("no requests".into()))
 }
 
 /// A Poisson arrival process with uniform token-count jitter around a base

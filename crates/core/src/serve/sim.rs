@@ -23,9 +23,9 @@
 //! [`EventScheduler`]: crate::serve::EventScheduler
 //! [`EventScheduler::run`]: crate::serve::EventScheduler::run
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use crate::arrivals::Request;
+use crate::arrivals::{self, Request};
 use crate::config::RunConfig;
 use crate::continuous::ContinuousReport;
 use crate::error::RunError;
@@ -33,9 +33,9 @@ use crate::serve::governor::{GovernorHook, GovernorObs};
 use crate::serve::scheduler::{PrefillPolicy, ServeConfig, ServeRun, KV_BLOCK_TOKENS};
 use crate::serve::trace::{IterPhase, IterationTrace};
 use edgellm_hw::{ClockState, DeviceSpec, PowerMode};
-use edgellm_mem::{MemoryModel, PagedKv, TokenId, GB, OOM_HEADROOM_GB};
+use edgellm_mem::{IdMap, MemoryModel, PagedKv, TokenId, GB, OOM_HEADROOM_GB};
 use edgellm_perf::PerfModel;
-use edgellm_power::{LoadProfile, RailBreakdown, RailModel};
+use edgellm_power::{LoadProfile, RailBreakdown, RailModel, RailPoint};
 use edgellm_trace::forensics::{self, ForensicsLog};
 use edgellm_trace::Histogram;
 
@@ -189,7 +189,9 @@ pub struct ServeSim {
     run_cfg: RunConfig,
     perf: PerfModel,
     rails: RailModel,
-    clocks: ClockState,
+    /// The rail model at the current power mode's clocks, recomputed only
+    /// when the mode changes.
+    rail_point: RailPoint,
     bw_ratio: f64,
     idle_power: f64,
     idle_rails: RailBreakdown,
@@ -209,7 +211,8 @@ pub struct ServeSim {
     /// [`ServeSim::submit_with_prompt`]; positions past the provided
     /// prefix (and every position of plain [`ServeSim::submit`]
     /// requests) get deterministic per-request synthetic ids.
-    prompts: HashMap<u64, Vec<TokenId>>,
+    prompts: IdMap<u64, Vec<TokenId>>,
+    /// Queued jobs, sorted by `(arrival_s, rid)`.
     pending: VecDeque<Job>,
     live: Vec<Live>,
     next_id: u32,
@@ -264,7 +267,8 @@ pub struct ServeSim {
     /// `idle_energy_j` this partitions `energy_j`: every iteration's
     /// integral is pro-rated token-proportionally over the sequences it
     /// served, remainder-corrected so the shares sum bit-exactly.
-    req_energy: BTreeMap<u64, f64>,
+    /// Exported sorted by request id.
+    req_energy: IdMap<u64, f64>,
     /// Idle-gap energy (J) — the unattributable ledger remainder.
     idle_energy_j: f64,
     /// Fleet device index stamped on forensic events (0 standalone).
@@ -280,11 +284,41 @@ pub struct ServeSim {
     /// end-to-end latency exceeds this triggers one.
     slo_latency_s: Option<f64>,
     slo_dumped: bool,
+    /// Buffers [`ServeSim::iterate`] refills every iteration, kept so an
+    /// iteration allocates nothing.
+    scratch: Scratch,
+}
+
+/// Per-iteration working lists of [`ServeSim::iterate`], cleared at the
+/// start of each iteration.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Indices into `live` of the decoding sequences.
+    deks: Vec<usize>,
+    /// Indices into `live` of the sequences whose prefill just finished.
+    finished_prefill: Vec<usize>,
+    /// `(rid, tokens)` of each prefill chunk.
+    chunk_bill: Vec<(u64, u64)>,
+    /// `(live index, drafted, accepted)` of each decoding sequence.
+    plans: Vec<(usize, u64, u64)>,
+    /// `(rid, weight)` energy-split weights.
+    bill: Vec<(u64, u64)>,
+}
+
+impl Scratch {
+    fn clear(&mut self) {
+        self.deks.clear();
+        self.finished_prefill.clear();
+        self.chunk_bill.clear();
+        self.plans.clear();
+        self.bill.clear();
+    }
 }
 
 impl ServeSim {
     /// A simulation pre-loaded with `requests` (their shapes size the
     /// activation reserve exactly as [`EventScheduler::run`] always did).
+    /// Errors on an empty trace or a non-finite arrival time.
     ///
     /// [`EventScheduler::run`]: crate::serve::EventScheduler::run
     pub fn new(
@@ -293,16 +327,7 @@ impl ServeSim {
         run_cfg: &RunConfig,
         requests: &[Request],
     ) -> Result<Self, RunError> {
-        if requests.is_empty() {
-            return Err(RunError::InvalidConfig("no requests".into()));
-        }
-        let max_sl =
-            requests.iter().map(|r| r.input_tokens + r.output_tokens).max().expect("non-empty");
-        let mut sim = Self::with_seq_hint(cfg, device, run_cfg, max_sl)?;
-        for r in requests {
-            sim.submit(r);
-        }
-        Ok(sim)
+        Self::new_with_prompts(cfg, device, run_cfg, requests, &HashMap::new())
     }
 
     /// [`ServeSim::new`], with prompt token ids attached to requests by
@@ -317,11 +342,7 @@ impl ServeSim {
         requests: &[Request],
         prompts: &HashMap<u64, Vec<TokenId>>,
     ) -> Result<Self, RunError> {
-        if requests.is_empty() {
-            return Err(RunError::InvalidConfig("no requests".into()));
-        }
-        let max_sl =
-            requests.iter().map(|r| r.input_tokens + r.output_tokens).max().expect("non-empty");
+        let max_sl = arrivals::check_trace(requests)?;
         let mut sim = Self::with_seq_hint(cfg, device, run_cfg, max_sl)?;
         for r in requests {
             match prompts.get(&r.id) {
@@ -398,7 +419,8 @@ impl ServeSim {
             PerfModel::new(device.clone(), run_cfg.llm, run_cfg.precision, device.max_clocks());
         let bw_ratio = perf.effective_bandwidth() / maxn.effective_bandwidth();
         let clocks = run_cfg.power_mode.clocks;
-        let idle_rails = rails.power(&clocks, &LoadProfile::idle());
+        let rail_point = rails.at(&clocks);
+        let idle_rails = rail_point.power(&LoadProfile::idle());
         let idle_power = idle_rails.total_w();
         let t_stream = perf.weight_stream_time();
         let label =
@@ -414,7 +436,7 @@ impl ServeSim {
             run_cfg: run_cfg.clone(),
             perf,
             rails,
-            clocks,
+            rail_point,
             bw_ratio,
             idle_power,
             idle_rails,
@@ -426,7 +448,7 @@ impl ServeSim {
             usable,
             block_bytes,
             kv,
-            prompts: HashMap::new(),
+            prompts: IdMap::default(),
             pending: VecDeque::new(),
             live: Vec::new(),
             next_id: 0,
@@ -453,13 +475,14 @@ impl ServeSim {
             spec_k_iter: cfg.spec.map(|s| s.k).unwrap_or(0),
             spec_alpha_ewma: cfg.spec.map(|s| s.alpha).unwrap_or(0.0),
             flog: Vec::new(),
-            req_energy: BTreeMap::new(),
+            req_energy: IdMap::default(),
             idle_energy_j: 0.0,
             dev_tag: 0,
             fleet_member: false,
             base_clocks: clocks,
             slo_latency_s: None,
             slo_dumped: false,
+            scratch: Scratch::default(),
         })
     }
 
@@ -490,22 +513,33 @@ impl ServeSim {
         }
     }
 
-    fn profile(&self, u: edgellm_perf::Utilization) -> LoadProfile {
-        LoadProfile { gpu_util: u.gpu, cpu_util: u.cpu, bw_util: u.mem_bw, bw_ratio: self.bw_ratio }
+    /// Rail power under utilization `u` at the current power mode.
+    fn rail_power(&self, u: edgellm_perf::Utilization) -> RailBreakdown {
+        self.rail_point.power(&LoadProfile {
+            gpu_util: u.gpu,
+            cpu_util: u.cpu,
+            bw_util: u.mem_bw,
+            bw_ratio: self.bw_ratio,
+        })
+    }
+
+    /// Queue `job` behind every queued job at or before it in
+    /// `(arrival_s, rid)` order, found by binary search: the queue is
+    /// kept sorted, and arrival times are finite.
+    fn enqueue(&mut self, job: Job) {
+        let pos = self.pending.partition_point(|p| {
+            p.arrival_s < job.arrival_s || (p.arrival_s == job.arrival_s && p.rid <= job.rid)
+        });
+        self.pending.insert(pos, job);
     }
 
     /// Queue a request. Ordering is by `(arrival_s, id)` so equal-time
     /// arrivals schedule identically regardless of submission order.
+    /// `r.arrival_s` must be finite (the constructors reject traces that
+    /// are not).
     pub fn submit(&mut self, r: &Request) {
         let job = Job::from_request(r);
-        let pos = self
-            .pending
-            .iter()
-            .position(|p| {
-                p.arrival_s > job.arrival_s || (p.arrival_s == job.arrival_s && p.rid > job.rid)
-            })
-            .unwrap_or(self.pending.len());
-        self.pending.insert(pos, job);
+        self.enqueue(job);
         self.submitted += 1;
         // Stamped at the semantic arrival: pre-loaded traces submit at
         // construction (clock 0) for future instants, fleet re-routes
@@ -760,10 +794,7 @@ impl ServeSim {
                         let dt = self.perf.prefill_time(1, suffix.max(1));
                         self.t += dt;
                         self.prefill_stall_s += dt;
-                        let rb = self.rails.power(
-                            &self.clocks,
-                            &self.profile(self.perf.prefill_utilization(1, suffix.max(1))),
-                        );
+                        let rb = self.rail_power(self.perf.prefill_utilization(1, suffix.max(1)));
                         let p = rb.total_w();
                         self.energy_j += p * dt;
                         // A solo stall serves exactly one request: its
@@ -877,20 +908,15 @@ impl ServeSim {
         // exactly one sequence).
         let mut job = s.job;
         job.prompt_tokens += s.gen_since();
-        let pos = self
-            .pending
-            .iter()
-            .position(|p| {
-                p.arrival_s > job.arrival_s || (p.arrival_s == job.arrival_s && p.rid > job.rid)
-            })
-            .unwrap_or(self.pending.len());
-        self.pending.insert(pos, job);
+        self.enqueue(job);
     }
 
     /// One fused iteration.
     fn iterate(&mut self) {
-        let deks: Vec<usize> =
-            self.live.iter().enumerate().filter(|(_, s)| s.decoding()).map(|(i, _)| i).collect();
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.clear();
+        sc.deks.extend(self.live.iter().enumerate().filter(|(_, s)| s.decoding()).map(|(i, _)| i));
+        let deks = &sc.deks;
         let n_dec = deks.len();
         let avg_ctx = if n_dec > 0 {
             (deks.iter().map(|&i| self.live[i].ctx()).sum::<u64>() as f64 / n_dec as f64) as u64
@@ -901,10 +927,10 @@ impl ServeSim {
         let mut prefillers = 0usize;
         let mut prefill_tokens = 0u64;
         let mut chunk_excess_s = 0.0f64;
-        let mut finished_prefill: Vec<usize> = Vec::new();
+        let finished_prefill = &mut sc.finished_prefill;
         // `(rid, tokens)` billing weights for this iteration's energy
         // split and the per-segment forensic events.
-        let mut chunk_bill: Vec<(u64, u64)> = Vec::new();
+        let chunk_bill = &mut sc.chunk_bill;
         if self.chunk > 0 {
             for (i, s) in self.live.iter_mut().enumerate() {
                 if s.prompt_done < s.job.prompt_tokens {
@@ -931,8 +957,8 @@ impl ServeSim {
         // speculation off, collapsing every path below to the plain
         // one-token step bit-for-bit.
         let spec_alpha = self.cfg.spec.map(|sp| sp.alpha);
-        let mut plans: Vec<(usize, u64, u64)> = Vec::with_capacity(deks.len());
-        for &i in &deks {
+        let plans = &mut sc.plans;
+        for &i in deks {
             let s = self.live[i];
             let k_eff = self.spec_k_for(&s);
             let done = s.job.output_total - s.job.output_remaining;
@@ -964,7 +990,7 @@ impl ServeSim {
         self.prefill_stall_s += chunk_excess_s;
 
         let mut dec_emitted = 0u64;
-        for &(i, k_eff, accepted) in &plans {
+        for &(i, k_eff, accepted) in plans.iter() {
             let s = self.live[i];
             // Drafted tokens are written to the KV like real ones — the
             // writes happen before verification decides their fate —
@@ -998,10 +1024,10 @@ impl ServeSim {
             }
         }
         self.t += dt;
-        for &(rid, tokens) in &chunk_bill {
+        for &(rid, tokens) in chunk_bill.iter() {
             self.femit(self.t, rid, forensics::EventKind::PrefillChunk { tokens });
         }
-        for &i in &finished_prefill {
+        for &i in finished_prefill.iter() {
             if self.live[i].job.ttft_s.is_none() {
                 self.live[i].job.ttft_s = Some(self.t - self.live[i].job.arrival_s);
                 let rid = self.live[i].job.rid;
@@ -1012,7 +1038,7 @@ impl ServeSim {
         // through prefill, so its first token is the first *decode*
         // token; sequences that did prefill have their TTFT pinned at
         // prefill completion above and are never still unset here.
-        for &i in &deks {
+        for &i in deks {
             if self.live[i].job.ttft_s.is_none() {
                 self.live[i].job.ttft_s = Some(self.t - self.live[i].job.arrival_s);
                 let rid = self.live[i].job.rid;
@@ -1023,7 +1049,7 @@ impl ServeSim {
         // cache: their full blocks become shareable with later prompts.
         // (Must precede the completion sweep — it invalidates indices.)
         if self.cfg.prefix_cache {
-            for &i in &finished_prefill {
+            for &i in finished_prefill.iter() {
                 let job = self.live[i].job;
                 let id = self.live[i].id;
                 let ids = self.prompt_tokens_for(&job);
@@ -1037,18 +1063,12 @@ impl ServeSim {
             (false, _) => IterPhase::Prefill,
         };
         let (power_w, rail_b) = if n_dec == 0 {
-            let b = self.rails.power(
-                &self.clocks,
-                &self.profile(
-                    self.perf.prefill_utilization(prefillers.max(1) as u64, self.chunk.max(1)),
-                ),
+            let b = self.rail_power(
+                self.perf.prefill_utilization(prefillers.max(1) as u64, self.chunk.max(1)),
             );
             (b.total_w(), b)
         } else {
-            let b_dec = self.rails.power(
-                &self.clocks,
-                &self.profile(self.perf.decode_utilization(n_dec as u64, avg_ctx.max(1))),
-            );
+            let b_dec = self.rail_power(self.perf.decode_utilization(n_dec as u64, avg_ctx.max(1)));
             let p_dec = b_dec.total_w();
             if prefillers == 0 || chunk_excess_s <= 0.0 {
                 (p_dec, b_dec)
@@ -1057,10 +1077,7 @@ impl ServeSim {
                 // total blends rail *totals* — bit-identical to the
                 // pre-instrumentation arithmetic — while the per-rail
                 // view blends component-wise.
-                let b_pre = self.rails.power(
-                    &self.clocks,
-                    &self.profile(self.perf.prefill_utilization(1, self.chunk)),
-                );
+                let b_pre = self.rail_power(self.perf.prefill_utilization(1, self.chunk));
                 let p_pre = b_pre.total_w();
                 let (wd, wp) = (dt - chunk_excess_s, chunk_excess_s);
                 let blend = RailBreakdown {
@@ -1079,10 +1096,10 @@ impl ServeSim {
         // writes for a rolled-back draft really ran and belong to the
         // request that drafted it — and `adv` per prefill segment. With
         // speculation off each sequence weighs exactly 1, as before.
-        let mut bill: Vec<(u64, u64)> = Vec::with_capacity(plans.len() + chunk_bill.len());
+        let bill = &mut sc.bill;
         bill.extend(plans.iter().map(|&(i, k_eff, _)| (self.live[i].job.rid, 1 + k_eff)));
         bill.extend(chunk_bill.iter().copied());
-        self.split_energy(power_w * dt, &bill);
+        self.split_energy(power_w * dt, bill);
         if n_dec > 0 {
             self.occupancy_sum += n_dec;
             self.decode_iters += 1;
@@ -1135,6 +1152,7 @@ impl ServeSim {
         if self.cfg.prefix_cache {
             self.cache_log.push((self.t, self.kv.cached_blocks()));
         }
+        self.scratch = sc;
     }
 
     /// Remove every unfinished request (queued and live), releasing their
@@ -1226,8 +1244,8 @@ impl ServeSim {
             self.device.max_clocks(),
         );
         self.bw_ratio = self.perf.effective_bandwidth() / maxn.effective_bandwidth();
-        self.clocks = pm.clocks;
-        self.idle_rails = self.rails.power(&self.clocks, &LoadProfile::idle());
+        self.rail_point = self.rails.at(&pm.clocks);
+        self.idle_rails = self.rail_point.power(&LoadProfile::idle());
         self.idle_power = self.idle_rails.total_w();
         self.t_stream = self.perf.weight_stream_time();
         // Every mode flip funnels through here — governor decisions,
@@ -1527,10 +1545,13 @@ impl ServeSim {
     pub fn forensics(&self) -> ForensicsLog {
         let mut events = self.flog.clone();
         events.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).expect("finite event times"));
+        let mut req_energy: Vec<(u64, f64)> =
+            self.req_energy.iter().map(|(&r, &e)| (r, e)).collect();
+        req_energy.sort_unstable_by_key(|&(rid, _)| rid);
         ForensicsLog {
             label: self.label.clone(),
             events,
-            req_energy: self.req_energy.iter().map(|(&r, &e)| (r, e)).collect(),
+            req_energy,
             idle_energy_j: self.idle_energy_j,
             cloud_energy_j: 0.0,
             total_energy_j: self.energy_j,
@@ -2243,6 +2264,8 @@ mod tests {
                 .unwrap(),
         );
         let f = sim.forensics();
+        let rids: Vec<u64> = f.req_energy.iter().map(|&(rid, _)| rid).collect();
+        assert_eq!(rids, (0..15).collect::<Vec<u64>>(), "one share per request, in id order");
         let attributed: f64 = f.req_energy.iter().map(|&(_, e)| e).sum();
         let total = attributed + f.idle_energy_j;
         assert!(
@@ -2337,5 +2360,53 @@ mod tests {
         let (drafted, accepted, rolled_back) = sim.spec_counters();
         assert_eq!(drafted, accepted + rolled_back);
         assert!(sim.audit().kv_integrity.is_empty());
+    }
+
+    #[test]
+    fn submission_order_does_not_change_the_run() {
+        // The pending queue is kept sorted by (arrival, id) whatever order
+        // requests come in: a shuffled submission, with ties on arrival,
+        // inserts mid-queue and must serve exactly like the sorted trace.
+        let (dev, cfg) = setup();
+        let mut reqs = PoissonArrivals::paper_shape(3.0).generate(40, 8);
+        for r in reqs.iter_mut().skip(10).step_by(7) {
+            r.arrival_s = 1.0;
+        }
+        let sorted = drain(ServeSim::new(ServeConfig::chunked(8), &dev, &cfg, &reqs).unwrap());
+        let shuffled: Vec<Request> =
+            (0..reqs.len()).map(|i| reqs[(i * 17 + 5) % reqs.len()]).collect();
+        let sim = drain(ServeSim::new(ServeConfig::chunked(8), &dev, &cfg, &shuffled).unwrap());
+        assert_eq!(sim.report(), sorted.report());
+        assert_eq!(sim.trace(), sorted.trace());
+        assert_eq!(sim.completions(), sorted.completions());
+    }
+
+    #[test]
+    fn new_rejects_non_finite_arrival_times() {
+        let (dev, cfg) = setup();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let reqs = [
+                Request { id: 0, arrival_s: 0.5, input_tokens: 32, output_tokens: 8 },
+                Request { id: 1, arrival_s: bad, input_tokens: 32, output_tokens: 8 },
+            ];
+            let err = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn new_with_prompts_rejects_non_finite_arrival_times() {
+        let (dev, cfg) = setup();
+        let reqs = [Request { id: 3, arrival_s: f64::NAN, input_tokens: 32, output_tokens: 8 }];
+        let prompts: HashMap<u64, Vec<TokenId>> = [(3, vec![7; 32])].into_iter().collect();
+        let err = ServeSim::new_with_prompts(
+            ServeConfig::chunked(16).with_prefix_cache(),
+            &dev,
+            &cfg,
+            &reqs,
+            &prompts,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RunError::InvalidConfig(_)), "{err}");
     }
 }

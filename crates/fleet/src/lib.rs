@@ -40,6 +40,7 @@
 
 pub mod device;
 pub mod fault;
+mod queue;
 pub mod report;
 pub mod routing;
 pub mod sim;

@@ -4,9 +4,16 @@
 //! ([`ServeSim`](edgellm_core::ServeSim)) behind a front-end router on a
 //! shared event clock. Each turn it fires the globally-earliest event —
 //! a scripted fault, a thermal recovery, a request arrival, or one device
-//! iteration — with a fixed tie order (fault < arrival < device step, then
-//! lowest device index), so a given seed and configuration always produce
-//! the same [`FleetReport`].
+//! iteration — with a fixed tie order (fault < recovery < arrival < device
+//! step, then lowest device index), so a given seed and configuration
+//! always produce the same [`FleetReport`].
+//!
+//! Faults and arrivals are sorted lists read through cursors; each
+//! device's own next event (recovery or step) sits in a tournament tree
+//! (`queue::Tournament`). Every operation that changes a device marks it
+//! dirty, and the dirty devices' tree keys and routing snapshots are
+//! refreshed before the next event is picked and before every routing
+//! decision, so an event costs O(log n) index work in the fleet size.
 //!
 //! Device iterations are atomic: a member may locally simulate past
 //! another member's clock, but every *routing* decision happens at the
@@ -23,6 +30,7 @@ use edgellm_trace::{Arg, Trace};
 
 use crate::device::{DeviceSim, FleetDevice};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::queue::{Key, Tournament};
 use crate::report::{DeviceReport, FleetReport};
 use crate::routing::{Decision, DeviceView, RoutingPolicy};
 
@@ -138,6 +146,7 @@ pub struct FleetAudit {
     pub router_log: Vec<(f64, RouterMark)>,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// Scripted fault at `events()[idx]`.
     Fault(usize),
@@ -184,6 +193,20 @@ pub struct FleetSim {
     /// reuse (and later cache) the prefix. Requests without an entry
     /// route and serve exactly as before.
     prompts: std::collections::HashMap<u64, Vec<u32>>,
+    /// Each device's pending recovery or step, keyed for the tie order.
+    index: Tournament,
+    /// Each device's routing snapshot, current once refreshed; its
+    /// `prefix_hit_tokens` is 0 unless `probed`.
+    views: Vec<DeviceView>,
+    /// Whether `views` may still carry the prefix probes of the last
+    /// routed prompt.
+    probed: bool,
+    /// Devices changed since `index` and `views` were last refreshed;
+    /// `is_dirty[i]` marks membership.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    /// Devices currently up.
+    up_count: usize,
 }
 
 impl FleetSim {
@@ -200,11 +223,7 @@ impl FleetSim {
         if members.is_empty() {
             return Err(RunError::InvalidConfig("fleet needs at least one device".into()));
         }
-        if requests.is_empty() {
-            return Err(RunError::InvalidConfig("no requests".into()));
-        }
-        let max_sl =
-            requests.iter().map(|r| r.input_tokens + r.output_tokens).max().expect("non-empty");
+        let max_sl = edgellm_core::arrivals::check_trace(requests)?;
         let mut devices = members
             .into_iter()
             .map(|m| DeviceSim::new(m, max_sl))
@@ -217,7 +236,12 @@ impl FleetSim {
         arrivals.sort_by(|a, b| {
             a.arrival_s.partial_cmp(&b.arrival_s).expect("finite").then(a.id.cmp(&b.id))
         });
-        let gov_seen = vec![0; devices.len()];
+        let n = devices.len();
+        let mut index = Tournament::new(n);
+        for (i, d) in devices.iter().enumerate() {
+            index.set(i, device_key(i, d));
+        }
+        let views = devices.iter().enumerate().map(|(i, d)| d.view(i, None)).collect();
         Ok(FleetSim {
             devices,
             policy,
@@ -235,8 +259,14 @@ impl FleetSim {
             tlog: Vec::new(),
             fevents: Vec::new(),
             cloud_req_energy: Vec::new(),
-            gov_seen,
+            gov_seen: vec![0; n],
             prompts: std::collections::HashMap::new(),
+            index,
+            views,
+            probed: false,
+            dirty: Vec::new(),
+            is_dirty: vec![false; n],
+            up_count: n,
         })
     }
 
@@ -486,10 +516,69 @@ impl FleetSim {
         )
     }
 
+    /// Mark device `i` changed: its index key and routing snapshot are
+    /// recomputed at the next [`FleetSim::refresh`].
+    fn touch(&mut self, i: usize) {
+        if !self.is_dirty[i] {
+            self.is_dirty[i] = true;
+            self.dirty.push(i);
+        }
+    }
+
+    /// Device `i`, marked changed. Every mutation of a member goes
+    /// through here (or [`FleetSim::touch`]).
+    fn device_mut(&mut self, i: usize) -> &mut DeviceSim {
+        self.touch(i);
+        &mut self.devices[i]
+    }
+
+    /// Recompute the index keys and routing snapshots of the devices
+    /// changed since the last refresh. A refreshed snapshot carries no
+    /// prefix probe; [`FleetSim::route`] probes, or clears, every device's
+    /// before it routes.
+    fn refresh(&mut self) {
+        for i in self.dirty.drain(..) {
+            self.is_dirty[i] = false;
+            let d = &self.devices[i];
+            self.index.set(i, device_key(i, d));
+            self.views[i] = d.view(i, None);
+        }
+    }
+
     /// The globally-earliest pending event; `None` when the fleet is
-    /// drained. Tie order: fault/recovery < arrival < device step, then
+    /// drained. Tie order: fault < recovery < arrival < device step, then
     /// lowest device index.
-    fn next_event(&self) -> Option<Event> {
+    fn next_event(&mut self) -> Option<Event> {
+        self.refresh();
+        let mut best: Option<(Key, Event)> = None;
+        let mut consider = |key: Key, ev: Event| {
+            if best.is_none_or(|(b, _)| key.before(&b)) {
+                best = Some((key, ev));
+            }
+        };
+        if let Some(f) = self.cfg.faults.events().get(self.next_fault) {
+            consider(Key { t: f.t_s, prio: 0, sub: 0 }, Event::Fault(self.next_fault));
+        }
+        if let Some(key) = self.index.min() {
+            let ev = match key.prio {
+                0 => Event::Recovery(key.sub - 1, key.t),
+                _ => Event::Step(key.sub, key.t),
+            };
+            consider(key, ev);
+        }
+        if let Some(r) = self.arrivals.get(self.next_arrival) {
+            consider(Key { t: r.arrival_s, prio: 1, sub: 0 }, Event::Arrival);
+        }
+        let ev = best.map(|(_, ev)| ev);
+        #[cfg(debug_assertions)]
+        assert_eq!(ev, self.scan_next_event(), "event index disagrees with a scan of the fleet");
+        ev
+    }
+
+    /// [`FleetSim::next_event`] by a linear scan over every device — the
+    /// reference debug builds check the index against on every event.
+    #[cfg(debug_assertions)]
+    fn scan_next_event(&self) -> Option<Event> {
         let mut best: Option<(f64, u8, Event)> = None;
         let consider = |t: f64, prio: u8, ev: Event, best: &mut Option<(f64, u8, Event)>| {
             let better = match best {
@@ -539,7 +628,7 @@ impl FleetSim {
                 }
             }
             Event::Recovery(i, t) => {
-                self.devices[i].rearm_thermal();
+                self.device_mut(i).rearm_thermal();
                 self.bring_up(i, t, true);
             }
             Event::Arrival => {
@@ -548,7 +637,7 @@ impl FleetSim {
                 self.route(r, r.arrival_s);
             }
             Event::Step(i, t) => {
-                let trip = self.devices[i].step(t)?;
+                let trip = self.device_mut(i).step(t)?;
                 self.reconcile_governor(i);
                 if let Some(recover_at) = trip {
                     let now = self.devices[i].sim.now();
@@ -584,8 +673,10 @@ impl FleetSim {
         if i >= self.devices.len() || !self.devices[i].up {
             return;
         }
-        self.devices[i].up = false;
-        self.devices[i].down_until = down_until;
+        let d = self.device_mut(i);
+        d.up = false;
+        d.down_until = down_until;
+        self.up_count -= 1;
         self.tlog.push((now, RouterMark::DeviceDown { device: i, thermal }));
         self.femit(now, forensics::NO_RID, i as u32, forensics::EventKind::DeviceDown { thermal });
         let drained = self.devices[i].sim.drain_incomplete();
@@ -606,14 +697,17 @@ impl FleetSim {
         if i >= self.devices.len() || self.devices[i].up {
             return;
         }
-        self.devices[i].up = true;
-        self.devices[i].down_until = None;
+        let d = self.device_mut(i);
+        d.up = true;
+        d.down_until = None;
+        self.up_count += 1;
         self.tlog.push((now, RouterMark::DeviceUp { device: i }));
         self.femit(now, forensics::NO_RID, i as u32, forensics::EventKind::DeviceUp);
+        let d = &mut self.devices[i];
         if powered {
-            self.devices[i].sim.idle_to(now);
+            d.sim.idle_to(now);
         } else {
-            self.devices[i].sim.skip_to(now);
+            d.sim.skip_to(now);
         }
         let held = std::mem::take(&mut self.held);
         for r in held {
@@ -634,7 +728,7 @@ impl FleetSim {
         if target >= total {
             return;
         }
-        self.devices[i].sim.shrink_kv_pool(target);
+        self.device_mut(i).sim.shrink_kv_pool(target);
         self.tlog.push((now, RouterMark::KvShrunk { device: i, blocks: target }));
     }
 
@@ -650,13 +744,14 @@ impl FleetSim {
         let registry = edgellm_hw::PowerModeRegistry::stock_for(self.devices[i].cfg.device.clone());
         let idx = index as usize % registry.len().max(1);
         let mode = registry.iter().nth(idx).expect("index reduced modulo len").clone();
-        if self.devices[i].up {
-            self.devices[i].sim.set_power_mode_at(&mode, now)?;
+        let d = self.device_mut(i);
+        if d.up {
+            d.sim.set_power_mode_at(&mode, now)?;
         } else {
-            self.devices[i].sim.set_power_mode(&mode)?;
+            d.sim.set_power_mode(&mode)?;
         }
-        self.devices[i].refresh_estimates();
-        self.devices[i].resync_governor();
+        d.refresh_estimates();
+        d.resync_governor();
         self.tlog.push((now, RouterMark::PowerFlipped { device: i, index: idx }));
         Ok(())
     }
@@ -671,8 +766,9 @@ impl FleetSim {
             self.femit(now, rid, forensics::NO_DEVICE, forensics::EventKind::Cancelled);
             return;
         }
-        for d in &mut self.devices {
-            if d.sim.cancel(rid) {
+        for i in 0..self.devices.len() {
+            if self.devices[i].sim.cancel(rid) {
+                self.touch(i);
                 self.cancelled += 1;
                 self.tlog.push((now, RouterMark::Cancelled { rid }));
                 return;
@@ -686,18 +782,41 @@ impl FleetSim {
         if i >= self.devices.len() {
             return;
         }
-        let before = self.devices[i].sim.now();
-        self.devices[i].sim.skip_to(now.max(before) + ahead_ms as f64 / 1000.0);
-        if self.devices[i].sim.now() > before {
+        let d = self.device_mut(i);
+        let before = d.sim.now();
+        d.sim.skip_to(now.max(before) + ahead_ms as f64 / 1000.0);
+        if d.sim.now() > before {
             self.tlog.push((now, RouterMark::ClockSkewed { device: i, ahead_ms }));
         }
     }
 
+    /// Route one request on the current snapshots. Dirty snapshots are
+    /// refreshed first, so each decision — including every re-route of a
+    /// drained device's work — sees the placements before it. With a
+    /// prompt attached, every device's prefix cache is probed for it.
     fn route(&mut self, r: Request, now: f64) {
+        self.refresh();
         let prompt = self.prompts.get(&r.id).map(|p| p.as_slice());
-        let views: Vec<DeviceView> =
-            self.devices.iter().enumerate().map(|(i, d)| d.view(i, prompt)).collect();
-        if !views.iter().any(|v| v.up) {
+        match prompt {
+            Some(p) => {
+                for (v, d) in self.views.iter_mut().zip(&self.devices) {
+                    v.prefix_hit_tokens = d.sim.prefix_match_tokens(p);
+                }
+                self.probed = true;
+            }
+            None if self.probed => {
+                for v in &mut self.views {
+                    v.prefix_hit_tokens = 0;
+                }
+                self.probed = false;
+            }
+            None => {}
+        }
+        #[cfg(debug_assertions)]
+        for (i, d) in self.devices.iter().enumerate() {
+            assert_eq!(self.views[i], d.view(i, prompt), "stale routing snapshot of device {i}");
+        }
+        if self.up_count == 0 {
             if self.cfg.cloud.is_some() {
                 self.cloud_complete(r, now);
             } else {
@@ -707,7 +826,7 @@ impl FleetSim {
             }
             return;
         }
-        match self.policy.route(&r, &views) {
+        match self.policy.route(&r, &self.views) {
             Decision::Device(i) if i < self.devices.len() && self.devices[i].up => {
                 self.place(i, &r, now);
             }
@@ -715,7 +834,8 @@ impl FleetSim {
             // A policy picked a down/invalid target, or cloud without an
             // endpoint: fall back to the least-loaded up device.
             _ => {
-                let i = views
+                let i = self
+                    .views
                     .iter()
                     .filter(|v| v.up)
                     .min_by(|a, b| {
@@ -738,10 +858,12 @@ impl FleetSim {
     fn place(&mut self, i: usize, r: &Request, now: f64) {
         self.tlog.push((now, RouterMark::Routed { rid: r.id, device: i }));
         self.femit(now, r.id, i as u32, forensics::EventKind::Routed);
-        self.devices[i].sim.idle_to(now);
+        self.touch(i);
+        let d = &mut self.devices[i];
+        d.sim.idle_to(now);
         match self.prompts.get(&r.id) {
-            Some(p) => self.devices[i].submit_with_prompt(r, p),
-            None => self.devices[i].submit(r),
+            Some(p) => d.submit_with_prompt(r, p),
+            None => d.submit(r),
         }
     }
 
@@ -776,6 +898,17 @@ impl FleetSim {
             forensics::NO_DEVICE,
             forensics::EventKind::Completed { output_tokens: r.output_tokens },
         );
+    }
+}
+
+/// Device `i`'s pending event key: its recovery while thermally down
+/// (`down_until` is only set while down), its next scheduler turn while
+/// up, `None` otherwise.
+fn device_key(i: usize, d: &DeviceSim) -> Option<Key> {
+    match d.down_until {
+        Some(t) => Some(Key { t, prio: 0, sub: 1 + i }),
+        None if d.up => d.sim.next_event_s().map(|t| Key { t, prio: 2, sub: i }),
+        None => None,
     }
 }
 
@@ -1119,6 +1252,137 @@ mod tests {
         );
         // Determinism holds with prompts attached.
         assert_eq!(run(Box::new(PrefixAffinity)).report, affine.report);
+    }
+
+    #[test]
+    fn non_finite_arrival_time_is_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut reqs = PoissonArrivals::paper_shape(1.0).generate(4, 1);
+            reqs[2].arrival_s = bad;
+            let err = FleetSim::new(
+                agx_pair(),
+                Box::new(RoundRobin::default()),
+                FleetConfig::default(),
+                &reqs,
+            )
+            .err()
+            .expect("a non-finite arrival must not build a fleet");
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+        }
+    }
+
+    /// Every routing call's request id and snapshots.
+    type Seen = std::rc::Rc<std::cell::RefCell<Vec<(u64, Vec<DeviceView>)>>>;
+
+    /// Routes request `SKEWED` to device 2 and everything else to the
+    /// shorter queue of devices 0 and 1, recording every snapshot it sees.
+    struct Scripted {
+        seen: Seen,
+    }
+
+    const SKEWED: u64 = 1000;
+    const AT_RECOVERY: u64 = 1001;
+
+    impl RoutingPolicy for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn route(&mut self, req: &Request, devices: &[DeviceView]) -> Decision {
+            self.seen.borrow_mut().push((req.id, devices.to_vec()));
+            if req.id == SKEWED {
+                return Decision::Device(2);
+            }
+            let pick = devices[..2]
+                .iter()
+                .filter(|v| v.up)
+                .min_by_key(|v| (v.queue_depth, v.index))
+                .map_or(1, |v| v.index);
+            Decision::Device(pick)
+        }
+    }
+
+    #[test]
+    fn same_instant_events_fire_fault_recovery_arrival_then_step() {
+        // Device 0 trips thermally and cools back at some instant T. A
+        // second run puts three more events on T: a scripted power flip
+        // of device 1, an arrival, and a step of device 2 (its clock was
+        // skewed to exactly T and a request is waiting on it).
+        let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
+        let members = || {
+            vec![
+                // Trips under decode load (~49 W), cools at idle (~14 W).
+                FleetDevice::new(DeviceSpec::orin_agx_64gb(), cfg.clone()).named("sealed").thermal(
+                    ThermalModel { r_c_per_w: 1.0, tau_s: 5.0, t_ambient_c: 25.0, t_limit_c: 60.0 },
+                ),
+                FleetDevice::new(DeviceSpec::orin_agx_64gb(), cfg.clone()).named("flipped"),
+                FleetDevice::new(DeviceSpec::orin_agx_64gb(), cfg.clone()).named("skewed"),
+            ]
+        };
+        let base = PoissonArrivals::paper_shape(2.0).generate(30, 9);
+        let run = |reqs: &[Request], faults: FaultPlan| {
+            let seen = Seen::default();
+            let policy = Box::new(Scripted { seen: seen.clone() });
+            let cfg = FleetConfig { faults, ..FleetConfig::default() };
+            let audit = FleetSim::new(members(), policy, cfg, reqs).unwrap().run_audited().unwrap();
+            let seen = seen.borrow().clone();
+            (audit, seen)
+        };
+        let (first, _) = run(&base, FaultPlan::none());
+        let t = first
+            .router_log
+            .iter()
+            .find(|(_, m)| *m == RouterMark::DeviceUp { device: 0 })
+            .expect("the sealed device trips and recovers")
+            .0;
+        let t0 = t - 0.5;
+        assert_eq!(t0 + 0.5, t, "a 500 ms skew from t0 lands exactly on T");
+
+        let mut reqs = base.clone();
+        reqs.push(Request { id: SKEWED, arrival_s: t0 + 0.25, input_tokens: 32, output_tokens: 8 });
+        reqs.push(Request { id: AT_RECOVERY, arrival_s: t, input_tokens: 32, output_tokens: 8 });
+        let faults = FaultPlan::none().clock_skew(2, t0, 500).power_flip(1, t, 1);
+        let (audit, seen) = run(&reqs, faults);
+
+        let at_t: Vec<RouterMark> =
+            audit.router_log.iter().filter(|(ts, _)| *ts == t).map(|&(_, m)| m).collect();
+        assert_eq!(
+            at_t,
+            vec![
+                RouterMark::PowerFlipped { device: 1, index: 1 },
+                RouterMark::DeviceUp { device: 0 },
+                RouterMark::Routed { rid: AT_RECOVERY, device: 0 },
+            ],
+            "fault, then recovery, then arrival"
+        );
+        // The arrival saw the recovered device up and device 2 still
+        // waiting at T with its request queued: the step comes last.
+        let (_, views) = seen.iter().find(|(rid, _)| *rid == AT_RECOVERY).expect("routed");
+        assert!(views[0].up);
+        assert_eq!(views[2].now_s, t);
+        assert_eq!(views[2].queue_depth, 1);
+        let skewed = &audit.devices[2];
+        assert_eq!(skewed.completions.len(), 1);
+        assert!(skewed.trace.iter().all(|it| it.t_s > t), "device 2 ran only after T");
+    }
+
+    #[test]
+    fn kv_shrink_reaches_the_next_routing_snapshot() {
+        // Device 0 is mid-iteration (its clock ahead of the fleet) when its
+        // pool shrinks to 0.5% — still room for its one sequence; an
+        // arrival at the same instant must route on the shrunk occupancy,
+        // before device 0 steps again.
+        let long = Request { id: 0, arrival_s: 0.0, input_tokens: 512, output_tokens: 256 };
+        let probe = Request { id: 1, arrival_s: 2.0, input_tokens: 32, output_tokens: 8 };
+        let seen = Seen::default();
+        let cfg =
+            FleetConfig { faults: FaultPlan::none().kv_shrink(0, 2.0, 5), ..Default::default() };
+        let policy = Box::new(Scripted { seen: seen.clone() });
+        FleetSim::new(agx_pair(), policy, cfg, &[long, probe]).unwrap().run().unwrap();
+        let seen = seen.borrow();
+        let (_, views) = seen.iter().find(|(rid, _)| *rid == 1).expect("probe routed");
+        assert!(views[0].now_s > 2.0, "device 0 is busy past the shrink");
+        assert!(views[0].kv_occupancy > 0.1, "stale occupancy {}", views[0].kv_occupancy);
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //!   ([`BlockPool`]), a radix-tree prompt-prefix cache with
 //!   deterministic LRU eviction ([`RadixCache`]), and the [`PagedKv`]
 //!   facade the serve scheduler drives (vLLM/SGLang-style paged
-//!   attention accounting, simulation-first).
+//!   attention accounting, simulation-first);
+//! * [`idmap`] — the integer-keyed hash map those per-sequence and
+//!   per-request tables use.
 
 pub mod block_pool;
+pub mod idmap;
 pub mod kv;
 pub mod layout;
 pub mod paged;
@@ -29,6 +32,7 @@ pub mod radix;
 pub mod tracker;
 
 pub use block_pool::BlockPool;
+pub use idmap::{IdHasher, IdMap};
 pub use kv::{KvBlockAllocator, KvError, SeqId};
 pub use layout::{ActivationCalib, MemoryModel, OOM_HEADROOM_GB};
 pub use paged::{AdmitOutcome, AdmitPlan, PagedKv};

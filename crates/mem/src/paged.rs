@@ -31,9 +31,8 @@
 //! cross-checks every block's refcount against its holders (sequences
 //! plus the cache) — the `edgellm-check` block-refcount oracle.
 
-use std::collections::HashMap;
-
 use crate::block_pool::BlockPool;
+use crate::idmap::IdMap;
 use crate::kv::{KvError, SeqId};
 use crate::radix::{RadixCache, TokenId};
 
@@ -73,7 +72,7 @@ pub struct AdmitPlan {
 pub struct PagedKv {
     pool: BlockPool,
     radix: Option<RadixCache>,
-    seqs: HashMap<SeqId, SeqKv>,
+    seqs: IdMap<SeqId, SeqKv>,
     /// Cumulative prompt tokens served from the cache.
     hit_tokens: u64,
 }
@@ -85,7 +84,7 @@ impl PagedKv {
         PagedKv {
             pool: BlockPool::new(capacity_bytes, block_tokens, bytes_per_token),
             radix: None,
-            seqs: HashMap::new(),
+            seqs: IdMap::default(),
             hit_tokens: 0,
         }
     }

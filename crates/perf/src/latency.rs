@@ -37,6 +37,48 @@ pub struct PerfModel {
     costs: PrecisionCosts,
     precision: Precision,
     clocks: ClockState,
+    /// The roofline terms that depend only on the fields above, computed
+    /// once at construction: a model's clocks never change (a power-mode
+    /// flip builds a new model), and the per-step queries run in every
+    /// simulated iteration.
+    terms: Terms,
+}
+
+/// Clock-dependent roofline terms of one [`PerfModel`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Terms {
+    bandwidth: f64,
+    decode_flops: f64,
+    prefill_flops: f64,
+    host_per_step: f64,
+    weight_stream_s: f64,
+    flops_per_token: f64,
+    kv_bytes_per_token: f64,
+}
+
+impl Terms {
+    fn of(m: &PerfModel) -> Self {
+        let scale = m.clocks.mem_scale(&m.device);
+        let peak = m.device.peak_bandwidth_gbps(&m.clocks) * 1e9;
+        let bandwidth = peak * BW_EFFICIENCY / (1.0 + MEM_PENALTY_ALPHA * (1.0 / scale - 1.0));
+        let fp16 = m.device.peak_compute_flops(ComputePrecision::Fp16, &m.clocks);
+        let base =
+            m.calib.host_s + m.costs.dispatch_frac * m.calib.int8_layer_s * m.arch.layers as f64;
+        let core_penalty = if m.clocks.cores_online < HOST_MIN_CORES {
+            HOST_MIN_CORES as f64 / m.clocks.cores_online as f64
+        } else {
+            1.0
+        };
+        Terms {
+            bandwidth,
+            decode_flops: fp16 * DECODE_EFF / m.costs.compute_mult,
+            prefill_flops: fp16 * PREFILL_EFF / m.costs.compute_mult,
+            host_per_step: base / m.clocks.cpu_scale(&m.device) * core_penalty,
+            weight_stream_s: m.arch.weight_bytes(m.precision) as f64 / bandwidth,
+            flops_per_token: flops::dense_flops_per_token(&m.arch),
+            kv_bytes_per_token: m.arch.kv_bytes_per_token() as f64,
+        }
+    }
 }
 
 impl PerfModel {
@@ -54,14 +96,17 @@ impl PerfModel {
         clocks: ClockState,
         calib: ModelCalib,
     ) -> Self {
-        PerfModel {
+        let mut m = PerfModel {
             arch: llm.arch(),
             calib,
             costs: PrecisionCosts::of(precision),
             precision,
             device,
             clocks,
-        }
+            terms: Terms::default(),
+        };
+        m.terms = Terms::of(&m);
+        m
     }
 
     /// The architecture being modeled.
@@ -83,41 +128,34 @@ impl PerfModel {
     /// including the low-frequency latency penalty (see
     /// [`MEM_PENALTY_ALPHA`]).
     pub fn effective_bandwidth(&self) -> f64 {
-        let scale = self.clocks.mem_scale(&self.device);
-        let peak = self.device.peak_bandwidth_gbps(&self.clocks) * 1e9;
-        peak * BW_EFFICIENCY / (1.0 + MEM_PENALTY_ALPHA * (1.0 / scale - 1.0))
+        self.terms.bandwidth
     }
 
     /// Effective decode compute throughput (FLOP/s) under the current GPU
     /// clock, including the per-precision multiplier.
     pub fn effective_decode_flops(&self) -> f64 {
-        self.device.peak_compute_flops(ComputePrecision::Fp16, &self.clocks) * DECODE_EFF
-            / self.costs.compute_mult
+        self.terms.decode_flops
     }
 
     /// Effective prefill compute throughput (FLOP/s).
     pub fn effective_prefill_flops(&self) -> f64 {
-        self.device.peak_compute_flops(ComputePrecision::Fp16, &self.clocks) * PREFILL_EFF
-            / self.costs.compute_mult
+        self.terms.prefill_flops
     }
 
     /// Host/dispatch seconds per decode step under the current CPU clock
     /// and online-core count.
     pub fn host_per_step(&self) -> f64 {
-        let base = self.calib.host_s
-            + self.costs.dispatch_frac * self.calib.int8_layer_s * self.arch.layers as f64;
-        let cpu = self.clocks.cpu_scale(&self.device);
-        let core_penalty = if self.clocks.cores_online < HOST_MIN_CORES {
-            HOST_MIN_CORES as f64 / self.clocks.cores_online as f64
-        } else {
-            1.0
-        };
-        base / cpu * core_penalty
+        self.terms.host_per_step
     }
 
     /// Time to stream the full weight set once.
     pub fn weight_stream_time(&self) -> f64 {
-        self.arch.weight_bytes(self.precision) as f64 / self.effective_bandwidth()
+        self.terms.weight_stream_s
+    }
+
+    /// Dense FLOPs per token of the modeled architecture.
+    pub(crate) fn flops_per_token(&self) -> f64 {
+        self.terms.flops_per_token
     }
 
     /// Prefill time for `batch` prompts of `n_in` tokens each: a roofline
@@ -125,16 +163,15 @@ impl PerfModel {
     /// overlap.
     pub fn prefill_time(&self, batch: u64, n_in: u64) -> f64 {
         let t_w = self.weight_stream_time();
-        let t_c = batch as f64 * n_in as f64 * flops::dense_flops_per_token(&self.arch)
-            / self.effective_prefill_flops();
+        let t_c =
+            batch as f64 * n_in as f64 * self.terms.flops_per_token / self.terms.prefill_flops;
         t_w.max(t_c) + OVERLAP_BETA * t_w.min(t_c)
     }
 
     /// One decode step for `batch` sequences with `ctx` cached tokens each.
     pub fn decode_step_time(&self, batch: u64, ctx: u64) -> f64 {
         let t_w = self.weight_stream_time();
-        let t_c =
-            batch as f64 * flops::dense_flops_per_token(&self.arch) / self.effective_decode_flops();
+        let t_c = batch as f64 * self.terms.flops_per_token / self.terms.decode_flops;
         let core = t_w.max(t_c) + OVERLAP_BETA * t_w.min(t_c);
         core + self.host_per_step() + self.context_traffic_time(batch, ctx)
     }
@@ -143,9 +180,9 @@ impl PerfModel {
     /// so the speculation model in [`crate::spec`] bills the per-row
     /// context reads of a verify batch with the same constants).
     pub(crate) fn context_traffic_time(&self, batch: u64, ctx: u64) -> f64 {
-        let kv = ctx as f64 * self.arch.kv_bytes_per_token() as f64;
+        let kv = ctx as f64 * self.terms.kv_bytes_per_token;
         let overhead = ctx.saturating_sub(CTX_OVERHEAD_THRESHOLD) as f64 * self.calib.k2_bytes;
-        batch as f64 * (kv + overhead) / self.effective_bandwidth()
+        batch as f64 * (kv + overhead) / self.terms.bandwidth
     }
 
     /// Full generation latency: prefill `n_in` tokens then decode `n_out`
@@ -156,8 +193,7 @@ impl PerfModel {
         let mut b =
             LatencyBreakdown { prefill_s: self.prefill_time(batch, n_in), ..Default::default() };
         let t_w = self.weight_stream_time();
-        let t_c =
-            batch as f64 * flops::dense_flops_per_token(&self.arch) / self.effective_decode_flops();
+        let t_c = batch as f64 * self.terms.flops_per_token / self.terms.decode_flops;
         // Attribute the roofline core (max + β·min) to its dominant side.
         let (core_traffic, core_compute) =
             if t_w >= t_c { (t_w, OVERLAP_BETA * t_c) } else { (OVERLAP_BETA * t_w, t_c) };

@@ -21,7 +21,6 @@
 //! [`expected_tokens_per_iteration`].
 
 use crate::latency::PerfModel;
-use edgellm_models::flops;
 
 use crate::calib::OVERLAP_BETA;
 
@@ -62,8 +61,7 @@ impl PerfModel {
     pub fn verify_batch_time(&self, batch: u64, ctx: u64, k: u64) -> f64 {
         let rows = (k + 1) as f64;
         let t_w = self.weight_stream_time();
-        let t_c = batch as f64 * rows * flops::dense_flops_per_token(self.arch())
-            / self.effective_decode_flops();
+        let t_c = batch as f64 * rows * self.flops_per_token() / self.effective_decode_flops();
         let core = t_w.max(t_c) + OVERLAP_BETA * t_w.min(t_c);
         let mut traffic = 0.0;
         for j in 0..=k {

@@ -22,7 +22,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use energy::{median_power_w, trapezoid_energy_j};
-pub use rails::{LoadProfile, RailBreakdown, RailModel};
+pub use rails::{LoadProfile, RailBreakdown, RailModel, RailPoint};
 pub use sampler::{sample_timeline, Phase};
 pub use thermal::{simulate_sustained, ThermalModel, ThermalTrace};
 pub use timeline::{record_power_trace, record_rail_counters};

@@ -80,24 +80,26 @@ impl RailModel {
         }
     }
 
-    /// Power draw under the given clocks and load.
-    pub fn power(&self, clocks: &ClockState, load: &LoadProfile) -> RailBreakdown {
+    /// The clock-dependent half of [`RailModel::power`]: each rail's
+    /// full-load draw under `clocks`. A simulator holding one power mode
+    /// computes this once per mode and prices every iteration's load
+    /// against it with [`RailPoint::power`].
+    pub fn at(&self, clocks: &ClockState) -> RailPoint {
         let gs = clocks.gpu_scale(&self.device);
         let cs = clocks.cpu_scale(&self.device);
         let ms = clocks.mem_scale(&self.device);
         let core_frac = clocks.cores_online as f64 / self.device.cpu.cores as f64;
-        // A bandwidth-starved GPU spends cycles stalled, drawing less than
-        // a compute-active one at the same "busy" fraction.
-        let stall_factor = 0.35 + 0.65 * load.bw_ratio.clamp(0.0, 1.0);
-        RailBreakdown {
+        RailPoint {
             idle_w: self.idle_w,
-            gpu_w: self.gpu_max_w * gs.powf(self.gpu_exp) * load.gpu_util * stall_factor,
-            cpu_w: self.cpu_max_w
-                * cs.powf(self.cpu_exp)
-                * core_frac.powf(0.6)
-                * (0.12 + 0.88 * load.cpu_util),
-            mem_w: self.mem_max_w * ms.powf(self.mem_exp) * (0.3 + 0.7 * load.bw_util),
+            gpu_w: self.gpu_max_w * gs.powf(self.gpu_exp),
+            cpu_w: self.cpu_max_w * cs.powf(self.cpu_exp) * core_frac.powf(0.6),
+            mem_w: self.mem_max_w * ms.powf(self.mem_exp),
         }
+    }
+
+    /// Power draw under the given clocks and load.
+    pub fn power(&self, clocks: &ClockState, load: &LoadProfile) -> RailBreakdown {
+        self.at(clocks).power(load)
     }
 
     /// Total watts, convenience.
@@ -110,6 +112,35 @@ impl RailModel {
     /// where each scheduler step holds a single load profile.
     pub fn energy_j(&self, clocks: &ClockState, load: &LoadProfile, dt_s: f64) -> f64 {
         self.total_w(clocks, load) * dt_s
+    }
+}
+
+/// A [`RailModel`] at fixed clocks (see [`RailModel::at`]): each rail's
+/// draw before its load factor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RailPoint {
+    /// Always-on SoC + board power (W).
+    idle_w: f64,
+    /// GPU rail, fully busy and unstalled (W).
+    gpu_w: f64,
+    /// CPU rail before its utilization factor (W).
+    cpu_w: f64,
+    /// DDR rail before its bandwidth factor (W).
+    mem_w: f64,
+}
+
+impl RailPoint {
+    /// Power draw under `load` at these clocks.
+    pub fn power(&self, load: &LoadProfile) -> RailBreakdown {
+        // A bandwidth-starved GPU spends cycles stalled, drawing less than
+        // a compute-active one at the same "busy" fraction.
+        let stall_factor = 0.35 + 0.65 * load.bw_ratio.clamp(0.0, 1.0);
+        RailBreakdown {
+            idle_w: self.idle_w,
+            gpu_w: self.gpu_w * load.gpu_util * stall_factor,
+            cpu_w: self.cpu_w * (0.12 + 0.88 * load.cpu_util),
+            mem_w: self.mem_w * (0.3 + 0.7 * load.bw_util),
+        }
     }
 }
 
@@ -202,6 +233,44 @@ mod tests {
         let p = r.total_w(&c, &busy());
         assert!((r.energy_j(&c, &busy(), 2.5) - p * 2.5).abs() < 1e-12);
         assert_eq!(r.energy_j(&c, &busy(), 0.0), 0.0);
+    }
+
+    #[test]
+    fn rail_point_matches_the_one_shot_formula_bit_for_bit() {
+        // The per-mode split must not move a single bit of any rail: this
+        // is the formula `power` evaluated in one expression per rail.
+        let r = rails();
+        let dev = DeviceSpec::orin_agx_64gb();
+        let loads = [busy(), LoadProfile::idle(), LoadProfile { bw_ratio: 0.09, ..busy() }];
+        for id in PowerModeId::ALL {
+            let c = clocks(id);
+            let point = r.at(&c);
+            for load in &loads {
+                let core_frac = c.cores_online as f64 / dev.cpu.cores as f64;
+                let stall = 0.35 + 0.65 * load.bw_ratio.clamp(0.0, 1.0);
+                let want = RailBreakdown {
+                    idle_w: r.idle_w,
+                    gpu_w: r.gpu_max_w * c.gpu_scale(&dev).powf(r.gpu_exp) * load.gpu_util * stall,
+                    cpu_w: r.cpu_max_w
+                        * c.cpu_scale(&dev).powf(r.cpu_exp)
+                        * core_frac.powf(0.6)
+                        * (0.12 + 0.88 * load.cpu_util),
+                    mem_w: r.mem_max_w
+                        * c.mem_scale(&dev).powf(r.mem_exp)
+                        * (0.3 + 0.7 * load.bw_util),
+                };
+                let got = point.power(load);
+                for (g, w) in [
+                    (got.idle_w, want.idle_w),
+                    (got.gpu_w, want.gpu_w),
+                    (got.cpu_w, want.cpu_w),
+                    (got.mem_w, want.mem_w),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{id:?}: {got:?} vs {want:?}");
+                }
+                assert_eq!(r.power(&c, load), got);
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! [`enter`] (or the [`span!`](crate::span!) macro) opens a span; dropping
 //! the guard closes it and appends a [`SpanRecord`] to the current
-//! thread's buffer. Buffers drain into a process-wide pool when a thread
-//! exits — the scoped worker threads of the `compat/rayon` pool live for
-//! one parallel region, so their spans are collected the moment the
-//! region ends — and [`drain`] merges everything **deterministically**:
-//! sorted by `(start time, thread ordinal, per-thread sequence)`, with
-//! ties broken by counters that do not depend on scheduling.
+//! thread's buffer. A thread's buffer drains into a process-wide pool
+//! whenever its outermost span closes, so a worker's spans are in the pool
+//! before the worker signals that its closure returned — the scoped worker
+//! threads of the `compat/rayon` pool live for one parallel region, and
+//! their spans are collected the moment the region ends. (Flushing from the
+//! thread-local's destructor instead would race the join: a scope may
+//! return before a finished thread's destructors have run.) [`drain`]
+//! merges everything **deterministically**: sorted by
+//! `(start time, thread ordinal, per-thread sequence)`, with ties broken by
+//! counters that do not depend on scheduling.
 //!
 //! Collection is globally gated: when disabled (the default), [`enter`]
 //! returns an inert guard whose construction is two relaxed atomic loads.
@@ -161,16 +165,18 @@ impl Drop for SpanGuard {
                 end_seq: b.seq,
             };
             b.records.push(rec);
+            if b.depth == 0 {
+                b.flush();
+            }
         });
     }
 }
 
-/// Take every span closed so far: the calling thread's buffer plus the
-/// pool of exited threads, merged deterministically by
-/// `(start_us, thread, start_seq)`. Spans still open on *live* other
-/// threads are not included — flush points (end of a parallel region,
-/// end of a run) are where the substrate guarantees worker threads have
-/// exited.
+/// Take every span closed so far, merged deterministically by
+/// `(start_us, thread, start_seq)`. Spans nested inside a span still open
+/// on *another* thread are not included yet: a thread hands its buffer
+/// over when its outermost span closes, which every worker has done by
+/// the end of its parallel region.
 pub fn drain() -> Vec<SpanRecord> {
     TLS.with(|b| b.borrow_mut().flush());
     let mut records = std::mem::take(&mut *pool().lock().expect("span pool poisoned"));
