@@ -23,6 +23,42 @@ use edgellm::models::{Llm, Precision};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// `(seed, outcome digest)` of every corpus seed, in corpus order, as the
+/// simulators produced them at the last intended change to simulated
+/// behaviour. A refactor leaves every one of them alone; after an
+/// intended change, re-pin each from the failure message or from
+/// `edgellm-check corpus`.
+const CORPUS_DIGESTS: [(u64, u64); 28] = [
+    (0, 0x73e8_4317_b6e9_6d12),
+    (1, 0xe481_4425_0d53_a85d),
+    (2, 0xeee6_48a0_79d8_7e08),
+    (4, 0x09c4_ffd6_c4a9_db6d),
+    (5, 0xe948_7e30_b5e4_d0b2),
+    (7, 0x4f69_7c39_a61f_c17d),
+    (8, 0x7a6f_1cdc_5334_1caf),
+    (10, 0x63b1_0d18_ccd7_92ac),
+    (11, 0xbee5_1b8f_2ec1_c7d7),
+    (12, 0xf395_55c4_8d14_d1a1),
+    (14, 0x5294_4119_3881_1aaa),
+    (15, 0x9c69_2993_5430_0e75),
+    (16, 0xd8fa_f8cb_2c28_44ea),
+    (17, 0xd449_2450_fee8_610b),
+    (18, 0x1736_d157_78d5_1003),
+    (19, 0x5a34_8dce_704f_f987),
+    (22, 0x6dfc_368a_d11e_4694),
+    (24, 0x122a_4bad_e542_9cfb),
+    (28, 0x38e4_a8ad_dc34_97cf),
+    (48, 0xb0c8_58dc_5a00_a7f7),
+    (21, 0x941e_6136_0ce2_35ac),
+    (23, 0xfe73_14ce_c0d6_9c7f),
+    (33, 0xf198_999c_4a23_1def),
+    (51, 0x369e_0c5a_d591_7800),
+    (90, 0xa327_a2fa_b823_a680),
+    (104, 0x5c02_782e_bda3_d22a),
+    (43, 0x0b15_423f_86c6_48f9),
+    (39, 0x72bb_1bdf_9d35_610e),
+];
+
 #[test]
 fn corpus_seeds_run_clean_and_digest_identically_across_thread_counts() {
     let seeds = corpus::default_seeds();
@@ -42,6 +78,14 @@ fn corpus_seeds_run_clean_and_digest_identically_across_thread_counts() {
             seeds.iter().map(|&s| run_scenario(&Scenario::from_seed(s)).digest()).collect()
         });
         assert_eq!(reference, digests, "outcome digests diverge at {t} threads");
+    }
+    let pinned_seeds: Vec<u64> = CORPUS_DIGESTS.iter().map(|&(s, _)| s).collect();
+    assert_eq!(seeds, pinned_seeds, "the corpus changed: re-pin CORPUS_DIGESTS");
+    for ((&seed, &got), &(_, want)) in seeds.iter().zip(&reference).zip(&CORPUS_DIGESTS) {
+        assert_eq!(
+            got, want,
+            "seed {seed}: outcome digest is now {got:#018x}, pinned {want:#018x}"
+        );
     }
 }
 

@@ -241,8 +241,15 @@ fn bursty_governed_fleet_blames_every_ttft_outlier() {
     assert!(rep.render().contains("TTFT outliers"));
 }
 
+/// FNV-1a over `s`'s bytes: pins an artifact without committing it.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Forensic exports and flight dumps are byte-identical across
-/// `EDGELLM_THREADS` — same bytes at 1, 2 and 8 workers.
+/// `EDGELLM_THREADS` — same bytes at 1, 2 and 8 workers — and match the
+/// digests pinned at the last intended change to simulated behaviour
+/// (re-pin from the failure message).
 #[test]
 fn forensic_artifacts_are_byte_identical_across_thread_counts() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -253,6 +260,16 @@ fn forensic_artifacts_are_byte_identical_across_thread_counts() {
         assert_eq!(energy.to_bits(), e.to_bits(), "report energy diverges at {t} threads");
         assert_eq!(export, x, "forensics export diverges at {t} threads");
         assert_eq!(dump, d, "flight dump diverges at {t} threads");
+    }
+    for (what, text, pinned) in [
+        ("export", &export, 0x31b1_bfa8_35b9_7e50u64),
+        ("flight dump", &dump, 0x5d76_4704_1049_75b0),
+    ] {
+        let got = fnv1a(text);
+        assert_eq!(
+            got, pinned,
+            "forensics {what} digest is now {got:#018x}, pinned {pinned:#018x}"
+        );
     }
 }
 

@@ -14,7 +14,7 @@
 
 use std::sync::Mutex;
 
-use edgellm::core::serve::{EventScheduler, ServeConfig};
+use edgellm::core::serve::{EventScheduler, ServeConfig, ServeSim};
 use edgellm::core::{PoissonArrivals, RunConfig};
 use edgellm::fleet::{FaultPlan, FleetConfig, FleetDevice, FleetSim, JoinShortestQueue};
 use edgellm::hw::DeviceSpec;
@@ -23,9 +23,26 @@ use edgellm::trace::sink;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// The serving workloads whose exported timelines are pinned.
+#[derive(Debug, Clone, Copy)]
+enum ServeInput {
+    /// Chunked prefill on an uncapped pool: iteration spans plus the KV
+    /// and rail-power counter tracks.
+    Plain,
+    /// Prefix cache with a shared system prompt, adaptive speculation
+    /// and a KV cap tight enough to preempt: adds the cached-block track
+    /// and the preemption instants.
+    Pressured,
+}
+
+/// FNV-1a over `s`'s bytes: pins a timeline without committing it.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Run one online-arrivals serving workload with the trace sink enabled
 /// and return the exported JSON. Serialized: the sink is process-global.
-fn serve_trace_json(threads: usize) -> String {
+fn serve_trace_json(input: ServeInput, threads: usize) -> String {
     static LOCK: Mutex<()> = Mutex::new(());
     let _g = LOCK.lock().expect("sink lock");
     rayon::with_num_threads(threads, || {
@@ -35,9 +52,28 @@ fn serve_trace_json(threads: usize) -> String {
         let dev = DeviceSpec::orin_agx_64gb();
         let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
         let reqs = PoissonArrivals::paper_shape(2.0).generate(12, 42);
-        EventScheduler::new(ServeConfig::chunked(16))
-            .run(&dev, &cfg, &reqs)
-            .expect("serve run succeeds");
+        match input {
+            ServeInput::Plain => {
+                EventScheduler::new(ServeConfig::chunked(16))
+                    .run(&dev, &cfg, &reqs)
+                    .expect("serve run succeeds");
+            }
+            ServeInput::Pressured => {
+                let pool = 160 * cfg.llm.arch().kv_bytes_per_token();
+                let serve = ServeConfig::chunked(8)
+                    .with_prefix_cache()
+                    .with_adaptive_speculation(4, 0.7)
+                    .kv_pool_cap(pool);
+                let system: Vec<u32> = (0..16).map(|i| 7_000 + i).collect();
+                let prompts = reqs.iter().map(|r| (r.id, system.clone())).collect();
+                let mut sim = ServeSim::new_with_prompts(serve, &dev, &cfg, &reqs, &prompts)
+                    .expect("serve sim builds");
+                while let Some(now) = sim.next_event_s() {
+                    sim.step(now).expect("serve run succeeds");
+                }
+                sim.finish();
+            }
+        }
         sink::disable();
         sink::take().to_chrome_json()
     })
@@ -64,16 +100,34 @@ fn fleet_trace_json(threads: usize) -> String {
 
 #[test]
 fn serve_timeline_is_byte_identical_across_thread_counts() {
-    let reference = serve_trace_json(THREAD_COUNTS[0]);
-    assert!(!reference.is_empty());
-    edgellm::trace::validate_chrome_trace(&reference).expect("schema-valid serve trace");
-    assert!(reference.contains("\"decode\""), "scheduler iteration spans present");
-    for &t in &THREAD_COUNTS[1..] {
+    // FNV-1a digests of each input's timeline at the last intended change
+    // to simulated behaviour; re-pin from the failure message.
+    let pins = [
+        (ServeInput::Plain, 0xb035_7474_4eb2_db06u64, &["\"decode\"", "\"power_rails_w\""][..]),
+        (
+            ServeInput::Pressured,
+            0x6cfa_5666_d02c_aaa9,
+            &["\"kv_cached_blocks\"", "\"preempt\"", "\"power_rails_w\""][..],
+        ),
+    ];
+    for (input, pinned, tracks) in pins {
+        let reference = serve_trace_json(input, THREAD_COUNTS[0]);
+        edgellm::trace::validate_chrome_trace(&reference).expect("schema-valid serve trace");
+        for track in tracks {
+            assert!(reference.contains(track), "{input:?}: {track} missing from the timeline");
+        }
+        for &t in &THREAD_COUNTS[1..] {
+            assert_eq!(
+                reference,
+                serve_trace_json(input, t),
+                "{input:?}: serve trace diverges between {} and {t} threads",
+                THREAD_COUNTS[0]
+            );
+        }
+        let got = fnv1a(&reference);
         assert_eq!(
-            reference,
-            serve_trace_json(t),
-            "serve trace diverges between {} and {t} threads",
-            THREAD_COUNTS[0]
+            got, pinned,
+            "{input:?}: timeline digest is now {got:#018x}, pinned {pinned:#018x}"
         );
     }
 }
@@ -92,6 +146,8 @@ fn fleet_timeline_is_byte_identical_across_thread_counts() {
             THREAD_COUNTS[0]
         );
     }
+    let (got, pinned) = (fnv1a(&reference), 0xeff3_e88a_2eb5_8e51u64);
+    assert_eq!(got, pinned, "fleet timeline digest is now {got:#018x}, pinned {pinned:#018x}");
 }
 
 #[test]
