@@ -403,9 +403,7 @@ fn main() {
         bench_shape("phi2_prefill32", 32, 2560, 10240, iters, &mut records);
         // Verify-batch shapes: speculative decoding scores 1+k draft rows
         // in one pass, so the decode GEMV becomes a skinny GEMM at
-        // m = 2/4/8. These points feed `edgellm_perf::SpecCalib::fit`,
-        // which least-squares t(m) = base + per_row·m to decide how far
-        // drafting pays off on this silicon.
+        // m = 2/4/8 — shapes the INT8 fused-vs-dequant gate must cover.
         bench_shape("phi2_verify2", 2, 2560, 10240, iters, &mut records);
         bench_shape("phi2_verify4", 4, 2560, 10240, iters, &mut records);
         bench_shape("phi2_verify8", 8, 2560, 10240, iters, &mut records);
@@ -563,7 +561,7 @@ mod tests {
         let verify_shapes = base.entries.iter().filter(|(s, ..)| s.contains("_verify")).count();
         assert!(
             verify_shapes >= 6,
-            "verify-batch shapes (m=2/4/8 at both decode dims) must stay pinned for SpecCalib"
+            "verify-batch shapes (m=2/4/8 at both decode dims) must stay pinned for the INT8 fused-vs-dequant gate"
         );
     }
 }

@@ -659,6 +659,8 @@ mod tests {
                 kv_blocks_total: 4,
                 power_w: 30.0,
                 tokens: 1,
+                rails: Default::default(),
+                kv_cached_blocks: None,
             })
             .collect();
         let mut v = Vec::new();

@@ -8,16 +8,17 @@
 //! idles waiting for the longest sequence in a batch.
 //!
 //! The simulation itself lives in [`crate::serve`]: [`ContinuousBatcher::run`]
-//! is a thin wrapper over [`EventScheduler`]
-//! with the blocking-prefill policy (the legacy regime this type always
-//! modelled). Use the scheduler directly for chunked prefill, KV-pressure
-//! preemption knobs and the per-iteration trace.
+//! runs a [`ServeSim`] with the blocking-prefill policy (the legacy regime
+//! this type always modelled) and keeps only its report;
+//! [`ContinuousBatcher::run_static`] models the measured static-batching
+//! regime it is compared against. Use [`ServeSim`] directly for chunked
+//! prefill, KV-pressure preemption knobs and the per-iteration trace.
 
 use crate::arrivals::Request;
 use crate::config::RunConfig;
 use crate::error::RunError;
 use crate::metrics::quantile;
-use crate::serve::{EventScheduler, ServeConfig};
+use crate::serve::{ServeConfig, ServeSim};
 use edgellm_hw::DeviceSpec;
 use edgellm_perf::PerfModel;
 use edgellm_power::{LoadProfile, RailModel};
@@ -69,17 +70,17 @@ impl ContinuousBatcher {
     /// (its batch/sequence fields are ignored; shapes come from the
     /// requests).
     ///
-    /// Wrapper over [`EventScheduler`] with [`ServeConfig::blocking`]:
-    /// admissions pay a solo prefill that stalls the live batch, the
-    /// historical behaviour of this type.
+    /// A [`ServeSim`] run with [`ServeConfig::blocking`]: admissions pay a
+    /// solo prefill that stalls the live batch, the historical behaviour
+    /// of this type.
     pub fn run(
         &self,
         device: &DeviceSpec,
         cfg: &RunConfig,
         requests: &[Request],
     ) -> Result<ContinuousReport, RunError> {
-        EventScheduler::new(ServeConfig::blocking(self.max_batch))
-            .run(device, cfg, requests)
+        ServeSim::new(ServeConfig::blocking(self.max_batch), device, cfg, requests)
+            .and_then(ServeSim::run)
             .map(|r| r.report)
     }
 
@@ -193,7 +194,8 @@ mod tests {
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(1.5).generate(25, 8);
         let wrapped = ContinuousBatcher::new(16).run(&dev, &cfg, &reqs).unwrap();
-        let direct = EventScheduler::new(ServeConfig::blocking(16)).run(&dev, &cfg, &reqs).unwrap();
+        let direct =
+            ServeSim::new(ServeConfig::blocking(16), &dev, &cfg, &reqs).unwrap().run().unwrap();
         assert_eq!(wrapped, direct.report);
     }
 

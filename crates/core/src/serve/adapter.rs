@@ -1,15 +1,14 @@
 //! Adapter from serving telemetry to a Perfetto timeline.
 //!
 //! [`record_serve_run`] renders one serving run — the scheduler's
-//! [`IterationTrace`] log, the per-iteration rail power samples, and the
-//! KV-pressure preemption instants — as one process on a
-//! [`edgellm_trace::Trace`]: iteration spans on a `scheduler`
-//! track, `kv_blocks` and `power_rails_w` counter tracks beneath it, so
-//! phase timing and the paper's power rails line up on a shared clock.
-//! [`ServeSim::finish`](crate::serve::ServeSim::finish) calls it
+//! [`IterationTrace`] records and the KV-pressure preemption instants —
+//! as one process on a [`edgellm_trace::Trace`]: iteration spans on a
+//! `scheduler` track, `kv_blocks` and `power_rails_w` counter tracks
+//! beneath it, so phase timing and the paper's power rails line up on a
+//! shared clock. [`ServeSim::run`](crate::serve::ServeSim::run) calls it
 //! automatically whenever the global trace sink is enabled.
 
-use edgellm_power::{record_rail_counters, RailBreakdown};
+use edgellm_power::record_rail_counters;
 use edgellm_trace::{Arg, Trace};
 
 use crate::serve::trace::{IterPhase, IterationTrace};
@@ -36,11 +35,11 @@ fn phase_name(phase: IterPhase) -> &'static str {
 ///   `scheduler` track, named after its phase, spanning
 ///   `[t_s - dt_s, t_s]`, carrying batch composition and power as args;
 /// * KV pool occupancy becomes a `kv_blocks` counter track;
-/// * `rails` (iteration-end [`RailBreakdown`] samples) become the
-///   stacked `power_rails_w` counter track;
-/// * `cache` (iteration-end prefix-cache occupancy samples) becomes a
-///   `kv_cached_blocks` counter track — emitted only when non-empty,
-///   i.e. only for runs serving with the prefix cache on;
+/// * each iteration's rail breakdown becomes a sample of the stacked
+///   `power_rails_w` counter track;
+/// * prefix-cache occupancy becomes a `kv_cached_blocks` counter track —
+///   emitted only for iterations that carry it, i.e. only for runs
+///   serving with the prefix cache on;
 /// * `preemptions` (`(time, request id)`) become thread-scoped instants
 ///   on the scheduler track.
 pub fn record_serve_run(
@@ -48,8 +47,6 @@ pub fn record_serve_run(
     pid: u32,
     label: &str,
     iters: &[IterationTrace],
-    rails: &[(f64, RailBreakdown)],
-    cache: &[(f64, usize)],
     preemptions: &[(f64, u64)],
 ) {
     out.set_process_name(pid, label);
@@ -73,9 +70,11 @@ pub fn record_serve_run(
         );
         out.counter(pid, "kv_blocks", it.t_s * S_TO_US, &[("used", it.kv_blocks_used as f64)]);
     }
-    record_rail_counters(out, pid, "power_rails_w", rails);
-    for &(t_s, cached) in cache {
-        out.counter(pid, "kv_cached_blocks", t_s * S_TO_US, &[("cached", cached as f64)]);
+    record_rail_counters(out, pid, "power_rails_w", iters.iter().map(|it| (it.t_s, it.rails)));
+    for it in iters {
+        if let Some(cached) = it.kv_cached_blocks {
+            out.counter(pid, "kv_cached_blocks", it.t_s * S_TO_US, &[("cached", cached as f64)]);
+        }
     }
     for &(t_s, rid) in preemptions {
         out.instant(
@@ -92,8 +91,9 @@ pub fn record_serve_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgellm_power::RailBreakdown;
 
-    fn iter(t_s: f64, phase: IterPhase) -> IterationTrace {
+    fn iter(t_s: f64, phase: IterPhase, kv_cached_blocks: Option<usize>) -> IterationTrace {
         IterationTrace {
             t_s,
             dt_s: 0.25,
@@ -104,28 +104,28 @@ mod tests {
             kv_blocks_total: 128,
             power_w: 35.0,
             tokens: 19,
+            rails: RailBreakdown { idle_w: 8.0, gpu_w: 20.0, cpu_w: 3.0, mem_w: 6.0 },
+            kv_cached_blocks,
         }
     }
 
     #[test]
     fn run_renders_spans_counters_and_instants() {
         let mut out = Trace::new();
-        let rails = [(0.25, RailBreakdown { idle_w: 8.0, gpu_w: 20.0, cpu_w: 3.0, mem_w: 6.0 })];
         record_serve_run(
             &mut out,
             1,
             "orin · llama-3.1-8b fp16",
-            &[iter(0.25, IterPhase::Mixed), iter(0.5, IterPhase::Decode)],
-            &rails,
-            &[],
+            &[iter(0.25, IterPhase::Mixed, None), iter(0.5, IterPhase::Decode, None)],
             &[(0.5, 7)],
         );
-        // 2 spans + 2 kv counters + 1 rail counter + 1 instant.
-        assert_eq!(out.len(), 6);
+        // 2 spans + 2 kv counters + 2 rail counters + 1 instant.
+        assert_eq!(out.len(), 7);
         let json = out.to_chrome_json();
         assert!(json.contains("\"mixed\""));
         assert!(json.contains("\"kv_blocks\""));
         assert!(json.contains("\"power_rails_w\""));
+        assert!(!json.contains("\"kv_cached_blocks\""), "cache-off runs render no cache track");
         assert!(json.contains("\"preempt\""));
         assert!(json.contains("\"rid\":7"));
         edgellm_trace::validate_chrome_trace(&json).expect("schema-valid");
@@ -138,13 +138,11 @@ mod tests {
             &mut out,
             1,
             "dev",
-            &[iter(0.25, IterPhase::Decode)],
-            &[],
-            &[(0.25, 5), (0.5, 7)],
+            &[iter(0.25, IterPhase::Decode, Some(5)), iter(0.5, IterPhase::Decode, Some(7))],
             &[],
         );
-        // 1 span + 1 kv counter + 2 cache counters.
-        assert_eq!(out.len(), 4);
+        // 2 spans + 2 kv counters + 2 rail counters + 2 cache counters.
+        assert_eq!(out.len(), 8);
         let json = out.to_chrome_json();
         assert!(json.contains("\"kv_cached_blocks\""));
         assert!(json.contains("\"cached\":7"), "{json}");
@@ -154,7 +152,7 @@ mod tests {
     #[test]
     fn span_start_precedes_end_timestamp() {
         let mut out = Trace::new();
-        record_serve_run(&mut out, 1, "dev", &[iter(1.0, IterPhase::Prefill)], &[], &[], &[]);
+        record_serve_run(&mut out, 1, "dev", &[iter(1.0, IterPhase::Prefill, None)], &[]);
         let json = out.to_chrome_json();
         // t_s = 1.0 s, dt_s = 0.25 s → span starts at 750 000 µs.
         assert!(json.contains("\"ts\":750000"), "{json}");

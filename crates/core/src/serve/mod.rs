@@ -1,9 +1,9 @@
 //! Event-driven, iteration-level serving.
 //!
 //! This module is the successor to the monolithic
-//! [`ContinuousBatcher::run`](crate::ContinuousBatcher::run) loop. The
-//! [`EventScheduler`] advances the system one engine iteration at a time
-//! with three properties the legacy loop lacked:
+//! [`ContinuousBatcher::run`](crate::ContinuousBatcher::run) loop.
+//! [`ServeSim`] advances the system one engine iteration at a time with
+//! three properties the legacy loop lacked:
 //!
 //! * **chunked prefill** — prompts are processed `chunk_tokens` at a time,
 //!   fused with the decode batch so admissions do not stall live
@@ -15,8 +15,13 @@
 //! * **per-iteration energy** — every step (and idle gap) is billed
 //!   through the rail power model, emitting an [`IterationTrace`].
 //!
+//! A run keeps one [`IterationTrace`] per iteration and one forensic
+//! lifecycle log; the report, the audit and the exported timeline are
+//! read from those two records (see [`sim`] for which counters stay
+//! independent, and why).
+//!
 //! ```
-//! use edgellm_core::serve::{EventScheduler, ServeConfig};
+//! use edgellm_core::serve::{ServeConfig, ServeSim};
 //! use edgellm_core::{PoissonArrivals, RunConfig};
 //! use edgellm_hw::DeviceSpec;
 //! use edgellm_models::{Llm, Precision};
@@ -24,8 +29,8 @@
 //! let dev = DeviceSpec::orin_agx_64gb();
 //! let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
 //! let reqs = PoissonArrivals::paper_shape(1.5).generate(20, 42);
-//! let run = EventScheduler::new(ServeConfig::chunked(16))
-//!     .run(&dev, &cfg, &reqs)
+//! let run = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs)
+//!     .and_then(ServeSim::run)
 //!     .unwrap();
 //! assert_eq!(run.report.requests, 20);
 //! assert!(run.report.energy_j > 0.0);
@@ -41,8 +46,7 @@ pub use adapter::record_serve_run;
 pub use edgellm_mem::TokenId;
 pub use governor::{GovernorHook, GovernorObs, NullGovernor};
 pub use scheduler::{
-    EventScheduler, PrefillPolicy, ServeConfig, ServeRun, SpecConfig, DEFAULT_CHUNK_TOKENS,
-    KV_BLOCK_TOKENS,
+    PrefillPolicy, ServeConfig, ServeRun, SpecConfig, DEFAULT_CHUNK_TOKENS, KV_BLOCK_TOKENS,
 };
 pub use sim::{Completion, ServeAudit, ServeSim};
 pub use trace::{IterPhase, IterationTrace};

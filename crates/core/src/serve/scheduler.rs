@@ -1,9 +1,9 @@
-//! The event-driven, iteration-level serving scheduler.
+//! Configuration and outcome of the event-driven, iteration-level
+//! serving scheduler.
 //!
-//! [`EventScheduler`] drives a trace of [`Request`]s to completion one
-//! engine iteration at a time, replacing the legacy
-//! [`ContinuousBatcher::run`](crate::ContinuousBatcher::run) simulation
-//! (which is now a thin wrapper over this module) with three upgrades:
+//! [`ServeSim`](crate::serve::ServeSim) drives a trace of requests to
+//! completion one engine iteration at a time, with three upgrades over
+//! static batching:
 //!
 //! 1. **Chunked prefill** ([`PrefillPolicy::Chunked`]): prompt processing
 //!    advances a fixed token chunk per iteration, fused with the running
@@ -23,21 +23,15 @@
 //!    (its regenerated tokens join the prompt it must prefill again).
 //! 3. **Per-iteration energy**: each iteration charges
 //!    `dt × RailModel::total_w` under the phase's utilization profile
-//!    (idle gaps at the idle profile), emitting an [`IterationTrace`] so
-//!    the energy integral and KV pressure are inspectable step by step.
+//!    (idle gaps at the idle profile), emitting an
+//!    [`IterationTrace`](crate::serve::IterationTrace) so the energy
+//!    integral and KV pressure are inspectable step by step.
 //!
-//! The mechanics live in [`ServeSim`], a steppable
-//! core (`next_event_s()` / `step(now)`) that fleet co-simulators drive
-//! one event at a time; `EventScheduler::run` is the single-device
-//! convenience wrapper that steps it to completion.
+//! This module holds the knobs ([`ServeConfig`]) and the outcome of a
+//! finished run ([`ServeRun`]).
 
-use crate::arrivals::Request;
-use crate::config::RunConfig;
 use crate::continuous::ContinuousReport;
-use crate::error::RunError;
-use crate::serve::sim::ServeSim;
-use crate::serve::trace::IterationTrace;
-use edgellm_hw::DeviceSpec;
+use crate::serve::sim::ServeAudit;
 
 /// Tokens per KV-cache block (matches the engine's paged allocator).
 pub const KV_BLOCK_TOKENS: u64 = 16;
@@ -170,65 +164,20 @@ impl ServeConfig {
 pub struct ServeRun {
     /// Aggregate serving metrics.
     pub report: ContinuousReport,
-    /// One record per scheduler iteration (incl. idle gaps).
-    pub trace: Vec<IterationTrace>,
-    /// Completed-request records, in completion order.
-    pub completions: Vec<crate::serve::sim::Completion>,
-    /// `(time, request id)` of every mid-run cancellation.
-    pub cancelled: Vec<(f64, u64)>,
-    /// KV blocks taken from the pool over the run.
-    pub kv_blocks_allocated: u64,
-    /// KV blocks returned to the pool (completion + preemption); equals
-    /// `kv_blocks_allocated` once the queue drains.
-    pub kv_blocks_freed: u64,
-    /// Output tokens delivered to completed requests (recomputed tokens
-    /// after a preemption are not double-counted).
-    pub served_output_tokens: u64,
-    /// Prompt tokens served from the prefix cache (0 with it off).
-    pub kv_cache_hit_tokens: u64,
-    /// Copy-on-write block allocations (divergence inside shared blocks).
-    pub kv_blocks_cow: u64,
-    /// Draft tokens submitted to verification (0 with speculation off).
-    pub spec_drafted: u64,
-    /// Draft tokens accepted and emitted as output.
-    pub spec_accepted: u64,
-    /// Draft tokens rejected and rolled back out of the paged KV;
-    /// `spec_drafted == spec_accepted + spec_rolled_back` always.
-    pub spec_rolled_back: u64,
-}
-
-/// The event-driven iteration-level scheduler.
-#[derive(Debug, Clone)]
-pub struct EventScheduler {
-    cfg: ServeConfig,
-}
-
-impl EventScheduler {
-    /// A scheduler with the given configuration.
-    pub fn new(cfg: ServeConfig) -> Self {
-        EventScheduler { cfg }
-    }
-
-    /// Drive all `requests` to completion on the device in `cfg` (its
-    /// batch/sequence fields are ignored; shapes come from the requests).
-    pub fn run(
-        &self,
-        device: &DeviceSpec,
-        cfg: &RunConfig,
-        requests: &[Request],
-    ) -> Result<ServeRun, RunError> {
-        let mut sim = ServeSim::new(self.cfg, device, cfg, requests)?;
-        while let Some(now) = sim.next_event_s() {
-            sim.step(now)?;
-        }
-        Ok(sim.finish())
-    }
+    /// The drained simulation's accounting: one record per scheduler
+    /// iteration (incl. idle gaps), completions, cancellations and the
+    /// KV, prefix-cache and speculation counters.
+    pub audit: ServeAudit,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::PoissonArrivals;
+    use crate::config::RunConfig;
+    use crate::error::RunError;
+    use crate::serve::ServeSim;
+    use edgellm_hw::DeviceSpec;
     use edgellm_models::{Llm, Precision};
 
     fn setup() -> (DeviceSpec, RunConfig) {
@@ -239,11 +188,12 @@ mod tests {
     fn chunked_run_completes_and_accounts() {
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(1.0).generate(30, 7);
-        let r = EventScheduler::new(ServeConfig::chunked(16)).run(&dev, &cfg, &reqs).unwrap();
+        let r = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap().run().unwrap();
         assert_eq!(r.report.requests, 30);
-        assert_eq!(r.served_output_tokens, reqs.iter().map(|q| q.output_tokens).sum::<u64>());
-        assert_eq!(r.kv_blocks_allocated, r.kv_blocks_freed, "pool drains clean");
-        assert_eq!(r.trace.last().unwrap().kv_blocks_used, 0);
+        let a = &r.audit;
+        assert_eq!(a.served_output_tokens, reqs.iter().map(|q| q.output_tokens).sum::<u64>());
+        assert_eq!(a.kv_blocks_allocated, a.kv_blocks_freed, "pool drains clean");
+        assert_eq!(a.trace.last().unwrap().kv_blocks_used, 0);
         assert!(r.report.energy_j > 0.0);
         assert!(r.report.mean_ttft_s > 0.0 && r.report.mean_ttft_s <= r.report.mean_latency_s);
         assert!(r.report.p50_ttft_s <= r.report.p99_ttft_s);
@@ -257,9 +207,9 @@ mod tests {
         // on mean TTFT (the blocking stall compounds down the queue).
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(1.5).generate(60, 2);
-        let chunked = EventScheduler::new(ServeConfig::chunked(16)).run(&dev, &cfg, &reqs).unwrap();
-        let blocking =
-            EventScheduler::new(ServeConfig::blocking(16)).run(&dev, &cfg, &reqs).unwrap();
+        let run = |serve| ServeSim::new(serve, &dev, &cfg, &reqs).unwrap().run().unwrap();
+        let chunked = run(ServeConfig::chunked(16));
+        let blocking = run(ServeConfig::blocking(16));
         assert!(
             chunked.report.mean_ttft_s < blocking.report.mean_ttft_s,
             "chunked {:.3}s vs blocking {:.3}s",
@@ -283,18 +233,20 @@ mod tests {
         let kv_per_token = cfg.llm.arch().kv_bytes_per_token();
         // Room for ~4 full sequences of 144 tokens — 12 want in.
         let pool = 4 * 144 * kv_per_token;
-        let r = EventScheduler::new(ServeConfig::chunked(8).kv_pool_cap(pool))
-            .run(&dev, &cfg, &reqs)
+        let r = ServeSim::new(ServeConfig::chunked(8).kv_pool_cap(pool), &dev, &cfg, &reqs)
+            .unwrap()
+            .run()
             .unwrap();
         assert!(r.report.preemptions > 0, "pool pressure must preempt");
         assert_eq!(r.report.requests, 12, "every request still completes");
+        let a = &r.audit;
         assert_eq!(
-            r.served_output_tokens,
+            a.served_output_tokens,
             reqs.iter().map(|q| q.output_tokens).sum::<u64>(),
             "preemption must not double-count served tokens"
         );
-        assert_eq!(r.kv_blocks_allocated, r.kv_blocks_freed);
-        assert_eq!(r.trace.last().unwrap().kv_blocks_used, 0);
+        assert_eq!(a.kv_blocks_allocated, a.kv_blocks_freed);
+        assert_eq!(a.trace.last().unwrap().kv_blocks_used, 0);
     }
 
     #[test]
@@ -307,20 +259,20 @@ mod tests {
         let reqs = arr.generate(1, 3);
         let kv_per_token = cfg.llm.arch().kv_bytes_per_token();
         let pool = 64 * kv_per_token; // 4 blocks: far below one prompt
-        let err = EventScheduler::new(ServeConfig::chunked(4).kv_pool_cap(pool))
-            .run(&dev, &cfg, &reqs)
+        let err = ServeSim::new(ServeConfig::chunked(4).kv_pool_cap(pool), &dev, &cfg, &reqs)
+            .and_then(ServeSim::run)
             .unwrap_err();
-        assert!(matches!(err, crate::error::RunError::OutOfMemory { .. }), "{err}");
+        assert!(matches!(err, RunError::OutOfMemory { .. }), "{err}");
     }
 
     #[test]
     fn trace_time_is_consistent() {
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(2.0).generate(20, 5);
-        let r = EventScheduler::new(ServeConfig::chunked(8)).run(&dev, &cfg, &reqs).unwrap();
+        let r = ServeSim::new(ServeConfig::chunked(8), &dev, &cfg, &reqs).unwrap().run().unwrap();
         let mut t = 0.0;
         let mut e = 0.0;
-        for it in &r.trace {
+        for it in &r.audit.trace {
             assert!(it.dt_s >= 0.0);
             t += it.dt_s;
             e += it.energy_j();
@@ -333,17 +285,16 @@ mod tests {
 
     #[test]
     fn unloadable_model_and_empty_queue_fail_fast() {
-        use crate::error::RunError;
         let (dev, _) = setup();
         let cfg = RunConfig::new(Llm::DeepseekQwen32b, Precision::Fp16);
         let reqs = PoissonArrivals::paper_shape(1.0).generate(4, 1);
         assert!(matches!(
-            EventScheduler::new(ServeConfig::chunked(8)).run(&dev, &cfg, &reqs),
+            ServeSim::new(ServeConfig::chunked(8), &dev, &cfg, &reqs),
             Err(RunError::ModelDoesNotLoad { .. })
         ));
         let (dev, cfg) = setup();
         assert!(matches!(
-            EventScheduler::new(ServeConfig::blocking(8)).run(&dev, &cfg, &[]),
+            ServeSim::new(ServeConfig::blocking(8), &dev, &cfg, &[]),
             Err(RunError::InvalidConfig(_))
         ));
     }

@@ -1,4 +1,4 @@
-//! The steppable simulation core behind [`EventScheduler`].
+//! The steppable single-device serving simulation.
 //!
 //! [`ServeSim`] owns one device's complete serving state — admission
 //! queue, live batch, KV pool, clock, energy integral, per-iteration
@@ -15,13 +15,35 @@
 //!   failure), so a fleet co-simulator can route work across many
 //!   `ServeSim`s on a shared clock.
 //!
-//! [`EventScheduler::run`] is a thin wrapper: construct, step until
-//! [`ServeSim::next_event_s`] returns `None`, [`ServeSim::finish`]. The
-//! wrapper reproduces the pre-refactor monolithic loop event for event —
-//! the golden serving pins did not move.
+//! [`ServeSim::run`] steps until [`ServeSim::next_event_s`] returns
+//! `None` and consumes the simulation into a [`ServeRun`].
 //!
-//! [`EventScheduler`]: crate::serve::EventScheduler
-//! [`EventScheduler::run`]: crate::serve::EventScheduler::run
+//! # Records
+//!
+//! A run keeps two records, and what is reported about it is read from
+//! them:
+//!
+//! * one [`IterationTrace`] per iteration — fused iteration, blocking
+//!   solo prefill or idle gap — appended by one private function, with
+//!   the iteration's rail breakdown and, with the prefix cache on, its
+//!   cached-block count. The timeline's counter tracks and the report's
+//!   mean occupancy are folds over it.
+//! * the forensic lifecycle log (submit, admit, prefill chunk, first
+//!   token, preempt, cancel, complete, mode change). Preemption instants
+//!   and counts and the audit's cancellations are filtered from it.
+//!
+//! Some values stay independent state because an oracle in the
+//! `edgellm-check` crate checks a record against them, and deriving them
+//! from that record would leave the oracle checking nothing: `energy_j`,
+//! billed where each iteration is billed (energy-integral, against the
+//! trace), served output tokens, counted at completion (token
+//! conservation, against the request shapes), KV blocks allocated and
+//! freed, counted at each pool call (KV accounting, against the pool's
+//! occupancy), and submissions (request conservation, against
+//! completions, cancellations and the queue). The prefill stall, the
+//! speculation counters and the per-request energy ledger are also kept
+//! as they happen: no record holds them, and storing every iteration's
+//! per-request energy shares to fold later would cost memory.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -57,7 +79,8 @@ pub struct Completion {
 /// A post-run accounting snapshot of one [`ServeSim`], consumed by
 /// invariant oracles (see the `edgellm-check` crate). Everything here is
 /// observable while the simulation is still owned elsewhere — fleet
-/// co-simulators surface one per device after a run.
+/// co-simulators surface one per device after a run — and
+/// [`ServeSim::run`] returns one inside its [`ServeRun`].
 #[derive(Debug, Clone)]
 pub struct ServeAudit {
     /// Device/model/precision display label.
@@ -187,15 +210,8 @@ pub struct ServeSim {
     /// The run configuration (tracks the *current* power mode after a
     /// [`ServeSim::set_power_mode`] flip).
     run_cfg: RunConfig,
-    perf: PerfModel,
-    rails: RailModel,
-    /// The rail model at the current power mode's clocks, recomputed only
-    /// when the mode changes.
-    rail_point: RailPoint,
-    bw_ratio: f64,
-    idle_power: f64,
-    idle_rails: RailBreakdown,
-    t_stream: f64,
+    /// Everything that depends on the current power mode.
+    op: OperatingPoint,
     /// Device/model/precision display label for exported timelines.
     label: String,
     /// Prefill chunk tokens (0 under the blocking policy).
@@ -219,24 +235,11 @@ pub struct ServeSim {
     t: f64,
     submitted: usize,
     completions: Vec<Completion>,
+    /// One record per iteration, appended only by [`ServeSim::record`].
     trace: Vec<IterationTrace>,
-    /// Per-iteration rail power samples, aligned with `trace` entries.
-    rail_log: Vec<(f64, RailBreakdown)>,
-    /// Prefix-cache occupancy samples `(time, cached blocks)`, aligned
-    /// with `trace` entries. Empty unless the prefix cache is enabled —
-    /// the Perfetto adapter emits a cache-occupancy counter track only
-    /// for runs that produced samples.
-    cache_log: Vec<(f64, usize)>,
-    /// `(time, request id)` of each KV-pressure preemption.
-    preempt_log: Vec<(f64, u64)>,
-    /// `(time, request id)` of each mid-run cancellation.
-    cancel_log: Vec<(f64, u64)>,
     energy_j: f64,
     prefill_stall_s: f64,
-    preemptions: usize,
     served_tokens: u64,
-    occupancy_sum: usize,
-    decode_iters: usize,
     kv_allocated: u64,
     kv_freed: u64,
     /// Draft tokens submitted to verification (0 with speculation off).
@@ -260,7 +263,8 @@ pub struct ServeSim {
     /// controller's shrink/grow signal. Seeded from the configured α.
     spec_alpha_ewma: f64,
     /// Rid-stamped forensic lifecycle events (always kept, like the
-    /// iteration trace; a few dozen bytes per request). Every push also
+    /// iteration trace; a few dozen bytes per request) — the record
+    /// preemptions and cancellations are read from. Every push also
     /// feeds the process-wide flight recorder.
     flog: Vec<forensics::Event>,
     /// Per-request attributed energy (J). Together with
@@ -274,7 +278,7 @@ pub struct ServeSim {
     /// Fleet device index stamped on forensic events (0 standalone).
     dev_tag: u32,
     /// Set by [`ServeSim::set_forensics_device`]: the fleet assembles
-    /// the merged forensic record, so per-device `finish` must not
+    /// the merged forensic record, so per-device `run` must not
     /// record its own into the sink.
     fleet_member: bool,
     /// Construction-time clocks — the baseline `ModeChange` events
@@ -315,12 +319,51 @@ impl Scratch {
     }
 }
 
+/// The power-mode-dependent constants of a [`ServeSim`], built by the
+/// constructor and rebuilt by every mode flip.
+#[derive(Debug, Clone)]
+struct OperatingPoint {
+    perf: PerfModel,
+    /// The rail model at the mode's clocks.
+    rail_point: RailPoint,
+    /// Effective memory bandwidth relative to MaxN clocks.
+    bw_ratio: f64,
+    idle_rails: RailBreakdown,
+    idle_power: f64,
+    /// One decode step's weight-stream time.
+    t_stream: f64,
+}
+
+impl OperatingPoint {
+    /// The operating point of `run_cfg`'s power mode on `device`.
+    fn new(device: &DeviceSpec, run_cfg: &RunConfig) -> Self {
+        let clocks = run_cfg.power_mode.clocks;
+        let perf = PerfModel::new(device.clone(), run_cfg.llm, run_cfg.precision, clocks);
+        let maxn =
+            PerfModel::new(device.clone(), run_cfg.llm, run_cfg.precision, device.max_clocks());
+        let bw_ratio = perf.effective_bandwidth() / maxn.effective_bandwidth();
+        let rail_point = RailModel::orin_agx(device.clone()).at(&clocks);
+        let idle_rails = rail_point.power(&LoadProfile::idle());
+        let idle_power = idle_rails.total_w();
+        let t_stream = perf.weight_stream_time();
+        OperatingPoint { perf, rail_point, bw_ratio, idle_rails, idle_power, t_stream }
+    }
+
+    /// Rail power under utilization `u`.
+    fn rail_power(&self, u: edgellm_perf::Utilization) -> RailBreakdown {
+        self.rail_point.power(&LoadProfile {
+            gpu_util: u.gpu,
+            cpu_util: u.cpu,
+            bw_util: u.mem_bw,
+            bw_ratio: self.bw_ratio,
+        })
+    }
+}
+
 impl ServeSim {
-    /// A simulation pre-loaded with `requests` (their shapes size the
-    /// activation reserve exactly as [`EventScheduler::run`] always did).
-    /// Errors on an empty trace or a non-finite arrival time.
-    ///
-    /// [`EventScheduler::run`]: crate::serve::EventScheduler::run
+    /// A simulation pre-loaded with `requests`, whose shapes size the
+    /// activation reserve. Errors on an empty trace or a non-finite
+    /// arrival time.
     pub fn new(
         cfg: ServeConfig,
         device: &DeviceSpec,
@@ -364,12 +407,6 @@ impl ServeSim {
         max_seq_tokens: u64,
     ) -> Result<Self, RunError> {
         run_cfg.power_mode.validate(device)?;
-        let perf = PerfModel::new(
-            device.clone(),
-            run_cfg.llm,
-            run_cfg.precision,
-            run_cfg.power_mode.clocks,
-        );
         let mm = MemoryModel::new(run_cfg.llm, run_cfg.precision, device.capacity_gb());
         if !mm.model_loads() {
             return Err(RunError::ModelDoesNotLoad {
@@ -414,15 +451,6 @@ impl ServeSim {
             kv = kv.with_prefix_cache();
         }
 
-        let rails = RailModel::orin_agx(device.clone());
-        let maxn =
-            PerfModel::new(device.clone(), run_cfg.llm, run_cfg.precision, device.max_clocks());
-        let bw_ratio = perf.effective_bandwidth() / maxn.effective_bandwidth();
-        let clocks = run_cfg.power_mode.clocks;
-        let rail_point = rails.at(&clocks);
-        let idle_rails = rail_point.power(&LoadProfile::idle());
-        let idle_power = idle_rails.total_w();
-        let t_stream = perf.weight_stream_time();
         let label =
             format!("{} · {} {}", device.name, run_cfg.llm.short_name(), run_cfg.precision.label());
         let chunk = match cfg.prefill {
@@ -434,13 +462,7 @@ impl ServeSim {
             cfg,
             device: device.clone(),
             run_cfg: run_cfg.clone(),
-            perf,
-            rails,
-            rail_point,
-            bw_ratio,
-            idle_power,
-            idle_rails,
-            t_stream,
+            op: OperatingPoint::new(device, run_cfg),
             label,
             chunk,
             cap,
@@ -456,16 +478,9 @@ impl ServeSim {
             submitted: 0,
             completions: Vec::new(),
             trace: Vec::new(),
-            rail_log: Vec::new(),
-            cache_log: Vec::new(),
-            preempt_log: Vec::new(),
-            cancel_log: Vec::new(),
             energy_j: 0.0,
             prefill_stall_s: 0.0,
-            preemptions: 0,
             served_tokens: 0,
-            occupancy_sum: 0,
-            decode_iters: 0,
             kv_allocated: 0,
             kv_freed: 0,
             spec_drafted: 0,
@@ -479,7 +494,7 @@ impl ServeSim {
             idle_energy_j: 0.0,
             dev_tag: 0,
             fleet_member: false,
-            base_clocks: clocks,
+            base_clocks: run_cfg.power_mode.clocks,
             slo_latency_s: None,
             slo_dumped: false,
             scratch: Scratch::default(),
@@ -513,14 +528,35 @@ impl ServeSim {
         }
     }
 
-    /// Rail power under utilization `u` at the current power mode.
-    fn rail_power(&self, u: edgellm_perf::Utilization) -> RailBreakdown {
-        self.rail_point.power(&LoadProfile {
-            gpu_util: u.gpu,
-            cpu_util: u.cpu,
-            bw_util: u.mem_bw,
-            bw_ratio: self.bw_ratio,
-        })
+    /// Append the record of an iteration that just ended at the current
+    /// clock, with the pool as it stands now. The only writer of `trace`.
+    fn record(
+        &mut self,
+        dt_s: f64,
+        phase: IterPhase,
+        decoding: usize,
+        prefilling: usize,
+        tokens: u64,
+        (power_w, rails): (f64, RailBreakdown),
+    ) {
+        self.trace.push(IterationTrace {
+            t_s: self.t,
+            dt_s,
+            phase,
+            decoding,
+            prefilling,
+            kv_blocks_used: self.kv.used_blocks(),
+            kv_blocks_total: self.kv.total_blocks(),
+            power_w,
+            tokens,
+            rails,
+            kv_cached_blocks: self.cfg.prefix_cache.then(|| self.kv.cached_blocks()),
+        });
+    }
+
+    /// `(time, request id)` of every lifecycle event of unit kind `kind`.
+    fn instants(&self, kind: forensics::EventKind) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.flog.iter().filter(move |e| e.kind == kind).map(|e| (e.t_s, e.rid))
     }
 
     /// Queue `job` behind every queued job at or before it in
@@ -659,24 +695,10 @@ impl ServeSim {
     pub fn idle_to(&mut self, now: f64) {
         if self.live.is_empty() && now > self.t {
             let dt = now - self.t;
-            self.energy_j += self.idle_power * dt;
-            self.idle_energy_j += self.idle_power * dt;
-            self.trace.push(IterationTrace {
-                t_s: now,
-                dt_s: dt,
-                phase: IterPhase::Idle,
-                decoding: 0,
-                prefilling: 0,
-                kv_blocks_used: self.kv.used_blocks(),
-                kv_blocks_total: self.kv.total_blocks(),
-                power_w: self.idle_power,
-                tokens: 0,
-            });
-            self.rail_log.push((now, self.idle_rails));
-            if self.cfg.prefix_cache {
-                self.cache_log.push((now, self.kv.cached_blocks()));
-            }
+            self.energy_j += self.op.idle_power * dt;
+            self.idle_energy_j += self.op.idle_power * dt;
             self.t = now;
+            self.record(dt, IterPhase::Idle, 0, 0, 0, (self.op.idle_power, self.op.idle_rails));
         }
     }
 
@@ -687,27 +709,7 @@ impl ServeSim {
     /// Drive it with [`ServeSim::next_event_s`]; stepping to an earlier
     /// instant is a no-op beyond admission.
     pub fn step(&mut self, now: f64) -> Result<(), RunError> {
-        if self.live.is_empty() && now > self.t {
-            let dt = now - self.t;
-            self.energy_j += self.idle_power * dt;
-            self.idle_energy_j += self.idle_power * dt;
-            self.trace.push(IterationTrace {
-                t_s: now,
-                dt_s: dt,
-                phase: IterPhase::Idle,
-                decoding: 0,
-                prefilling: 0,
-                kv_blocks_used: self.kv.used_blocks(),
-                kv_blocks_total: self.kv.total_blocks(),
-                power_w: self.idle_power,
-                tokens: 0,
-            });
-            self.rail_log.push((now, self.idle_rails));
-            if self.cfg.prefix_cache {
-                self.cache_log.push((now, self.kv.cached_blocks()));
-            }
-            self.t = now;
-        }
+        self.idle_to(now);
         self.admit()?;
         if self.live.is_empty() {
             return Ok(());
@@ -791,19 +793,16 @@ impl ServeSim {
                     self.kv_allocated += self.kv.append(id, suffix).expect("gated on free") as u64;
                     let mut job = job;
                     if suffix > 0 || !self.cfg.prefix_cache {
-                        let dt = self.perf.prefill_time(1, suffix.max(1));
+                        let dt = self.op.perf.prefill_time(1, suffix.max(1));
                         self.t += dt;
                         self.prefill_stall_s += dt;
-                        let rb = self.rail_power(self.perf.prefill_utilization(1, suffix.max(1)));
+                        let rb =
+                            self.op.rail_power(self.op.perf.prefill_utilization(1, suffix.max(1)));
                         let p = rb.total_w();
                         self.energy_j += p * dt;
                         // A solo stall serves exactly one request: its
                         // whole integral is that request's energy.
                         *self.req_energy.entry(job.rid).or_insert(0.0) += p * dt;
-                        self.rail_log.push((self.t, rb));
-                        if self.cfg.prefix_cache {
-                            self.cache_log.push((self.t, self.kv.cached_blocks()));
-                        }
                         job.ttft_s = Some(self.t - job.arrival_s);
                         self.femit(
                             self.t,
@@ -811,17 +810,7 @@ impl ServeSim {
                             forensics::EventKind::PrefillChunk { tokens: suffix },
                         );
                         self.femit(self.t, job.rid, forensics::EventKind::FirstToken);
-                        self.trace.push(IterationTrace {
-                            t_s: self.t,
-                            dt_s: dt,
-                            phase: IterPhase::Prefill,
-                            decoding: 0,
-                            prefilling: 1,
-                            kv_blocks_used: self.kv.used_blocks(),
-                            kv_blocks_total: self.kv.total_blocks(),
-                            power_w: p,
-                            tokens: suffix,
-                        });
+                        self.record(dt, IterPhase::Prefill, 0, 1, suffix, (p, rb));
                     }
                     if let Some(ids) = &prompt_ids {
                         self.kv.insert_prompt(id, ids);
@@ -897,8 +886,6 @@ impl ServeSim {
             .expect("live non-empty");
         let s = self.live.swap_remove(victim);
         self.kv_freed += self.kv.release(s.id).expect("live seq registered") as u64;
-        self.preemptions += 1;
-        self.preempt_log.push((self.t, s.job.rid));
         self.femit(self.t, s.job.rid, forensics::EventKind::Preempted);
         // Recompute penalty: the discarded cache — including the tokens
         // generated *since this admission* — joins the prompt to
@@ -943,7 +930,8 @@ impl ServeSim {
                     chunk_bill.push((s.job.rid, adv));
                     // The chunk's weight traffic rides the decode
                     // batch's stream; only compute beyond it bills.
-                    chunk_excess_s += (self.perf.prefill_time(1, adv) - self.t_stream).max(0.0);
+                    chunk_excess_s +=
+                        (self.op.perf.prefill_time(1, adv) - self.op.t_stream).max(0.0);
                     if s.prompt_done == s.job.prompt_tokens {
                         finished_prefill.push(i);
                     }
@@ -978,14 +966,15 @@ impl ServeSim {
         // does not bill separately).
         let k_iter = plans.iter().map(|&(_, k, _)| k).max().unwrap_or(0);
 
+        let perf = &self.op.perf;
         let dt = if n_dec > 0 {
             if k_iter > 0 {
-                self.perf.verify_batch_time(n_dec as u64, avg_ctx.max(1), k_iter)
+                perf.verify_batch_time(n_dec as u64, avg_ctx.max(1), k_iter)
             } else {
-                self.perf.decode_step_time(n_dec as u64, avg_ctx.max(1))
+                perf.decode_step_time(n_dec as u64, avg_ctx.max(1))
             }
         } else {
-            self.t_stream + self.perf.host_per_step()
+            self.op.t_stream + perf.host_per_step()
         } + chunk_excess_s;
         self.prefill_stall_s += chunk_excess_s;
 
@@ -1062,13 +1051,13 @@ impl ServeSim {
             (true, false) => IterPhase::Decode,
             (false, _) => IterPhase::Prefill,
         };
+        let op = &self.op;
         let (power_w, rail_b) = if n_dec == 0 {
-            let b = self.rail_power(
-                self.perf.prefill_utilization(prefillers.max(1) as u64, self.chunk.max(1)),
-            );
+            let u = op.perf.prefill_utilization(prefillers.max(1) as u64, self.chunk.max(1));
+            let b = op.rail_power(u);
             (b.total_w(), b)
         } else {
-            let b_dec = self.rail_power(self.perf.decode_utilization(n_dec as u64, avg_ctx.max(1)));
+            let b_dec = op.rail_power(op.perf.decode_utilization(n_dec as u64, avg_ctx.max(1)));
             let p_dec = b_dec.total_w();
             if prefillers == 0 || chunk_excess_s <= 0.0 {
                 (p_dec, b_dec)
@@ -1077,7 +1066,7 @@ impl ServeSim {
                 // total blends rail *totals* — bit-identical to the
                 // pre-instrumentation arithmetic — while the per-rail
                 // view blends component-wise.
-                let b_pre = self.rail_power(self.perf.prefill_utilization(1, self.chunk));
+                let b_pre = op.rail_power(op.perf.prefill_utilization(1, self.chunk));
                 let p_pre = b_pre.total_w();
                 let (wd, wp) = (dt - chunk_excess_s, chunk_excess_s);
                 let blend = RailBreakdown {
@@ -1100,10 +1089,6 @@ impl ServeSim {
         bill.extend(plans.iter().map(|&(i, k_eff, _)| (self.live[i].job.rid, 1 + k_eff)));
         bill.extend(chunk_bill.iter().copied());
         self.split_energy(power_w * dt, bill);
-        if n_dec > 0 {
-            self.occupancy_sum += n_dec;
-            self.decode_iters += 1;
-        }
 
         let mut i = 0;
         while i < self.live.len() {
@@ -1137,21 +1122,7 @@ impl ServeSim {
             }
         }
 
-        self.trace.push(IterationTrace {
-            t_s: self.t,
-            dt_s: dt,
-            phase,
-            decoding: n_dec,
-            prefilling: prefillers,
-            kv_blocks_used: self.kv.used_blocks(),
-            kv_blocks_total: self.kv.total_blocks(),
-            power_w,
-            tokens: prefill_tokens + dec_emitted,
-        });
-        self.rail_log.push((self.t, rail_b));
-        if self.cfg.prefix_cache {
-            self.cache_log.push((self.t, self.kv.cached_blocks()));
-        }
+        self.record(dt, phase, n_dec, prefillers, prefill_tokens + dec_emitted, (power_w, rail_b));
         self.scratch = sc;
     }
 
@@ -1178,26 +1149,23 @@ impl ServeSim {
     }
 
     /// Cancel a request wherever it stands — queued or live — releasing
-    /// any KV blocks it holds. Returns `true` when the request was found
-    /// (a completed or unknown `rid` is a no-op). Cancelled requests
-    /// count toward neither completions nor served tokens; the
-    /// cancellation instant is recorded in [`ServeSim::cancellations`].
+    /// any KV blocks it holds and its prompt ids. Returns `true` when the
+    /// request was found (a completed or unknown `rid` is a no-op).
+    /// Cancelled requests count toward neither completions nor served
+    /// tokens; the cancellation instant lands in the lifecycle log, and
+    /// so in [`ServeAudit::cancelled`].
     pub fn cancel(&mut self, rid: u64) -> bool {
         if let Some(pos) = self.pending.iter().position(|j| j.rid == rid) {
             self.pending.remove(pos);
-            self.cancel_log.push((self.t, rid));
-            self.femit(self.t, rid, forensics::EventKind::Cancelled);
-            return true;
-        }
-        if let Some(pos) = self.live.iter().position(|s| s.job.rid == rid) {
+        } else if let Some(pos) = self.live.iter().position(|s| s.job.rid == rid) {
             let s = self.live.remove(pos);
             self.kv_freed += self.kv.release(s.id).expect("live seq registered") as u64;
-            self.prompts.remove(&rid);
-            self.cancel_log.push((self.t, rid));
-            self.femit(self.t, rid, forensics::EventKind::Cancelled);
-            return true;
+        } else {
+            return false;
         }
-        false
+        self.prompts.remove(&rid);
+        self.femit(self.t, rid, forensics::EventKind::Cancelled);
+        true
     }
 
     /// Shrink the KV pool to `target_blocks` (floored at one block),
@@ -1231,23 +1199,7 @@ impl ServeSim {
     pub fn set_power_mode(&mut self, pm: &PowerMode) -> Result<(), RunError> {
         pm.validate(&self.device)?;
         self.run_cfg.power_mode = pm.clone();
-        self.perf = PerfModel::new(
-            self.device.clone(),
-            self.run_cfg.llm,
-            self.run_cfg.precision,
-            pm.clocks,
-        );
-        let maxn = PerfModel::new(
-            self.device.clone(),
-            self.run_cfg.llm,
-            self.run_cfg.precision,
-            self.device.max_clocks(),
-        );
-        self.bw_ratio = self.perf.effective_bandwidth() / maxn.effective_bandwidth();
-        self.rail_point = self.rails.at(&pm.clocks);
-        self.idle_rails = self.rail_point.power(&LoadProfile::idle());
-        self.idle_power = self.idle_rails.total_w();
-        self.t_stream = self.perf.weight_stream_time();
+        self.op = OperatingPoint::new(&self.device, &self.run_cfg);
         // Every mode flip funnels through here — governor decisions,
         // scripted fault-injector flips, thermal recoveries — so this is
         // the single forensic emission point. `downclock` compares
@@ -1388,7 +1340,7 @@ impl ServeSim {
 
     /// Sequences preempted so far.
     pub fn preemptions(&self) -> usize {
-        self.preemptions
+        self.instants(forensics::EventKind::Preempted).count()
     }
 
     /// Completed-request records, in completion order.
@@ -1401,20 +1353,9 @@ impl ServeSim {
         &self.trace
     }
 
-    /// Per-iteration rail power samples (time at iteration end), aligned
-    /// with [`ServeSim::trace`] — the GPU/CPU/DDR/SoC counter-track feed.
-    pub fn rail_trace(&self) -> &[(f64, RailBreakdown)] {
-        &self.rail_log
-    }
-
     /// `(time, request id)` of every KV-pressure preemption so far.
-    pub fn preemption_events(&self) -> &[(f64, u64)] {
-        &self.preempt_log
-    }
-
-    /// `(time, request id)` of every mid-run cancellation so far.
-    pub fn cancellations(&self) -> &[(f64, u64)] {
-        &self.cancel_log
+    pub fn preemption_events(&self) -> Vec<(f64, u64)> {
+        self.instants(forensics::EventKind::Preempted).collect()
     }
 
     /// Total KV pool blocks (shrinks after [`ServeSim::shrink_kv_pool`]).
@@ -1481,12 +1422,6 @@ impl ServeSim {
         self.kv.probe_prefix(prompt)
     }
 
-    /// Prefix-cache occupancy samples `(time, cached blocks)` so far
-    /// (empty with the cache off).
-    pub fn cache_occupancy_log(&self) -> &[(f64, usize)] {
-        &self.cache_log
-    }
-
     /// Accounting snapshot for invariant oracles. Fleet runs expose one
     /// per device (where the consumed [`ServeRun`] is unavailable); the
     /// checking harness replays its invariants against this.
@@ -1495,7 +1430,7 @@ impl ServeSim {
             label: self.label.clone(),
             submitted: self.submitted,
             completions: self.completions.clone(),
-            cancelled: self.cancel_log.clone(),
+            cancelled: self.instants(forensics::EventKind::Cancelled).collect(),
             trace: self.trace.clone(),
             kv_blocks_allocated: self.kv_allocated,
             kv_blocks_freed: self.kv_freed,
@@ -1507,7 +1442,7 @@ impl ServeSim {
             kv_integrity: self.kv.verify(),
             queue_depth: self.pending.len() + self.live.len(),
             energy_j: self.energy_j,
-            preemptions: self.preemptions,
+            preemptions: self.preemptions(),
             served_output_tokens: self.served_tokens,
             spec_drafted: self.spec_drafted,
             spec_accepted: self.spec_accepted,
@@ -1523,7 +1458,7 @@ impl ServeSim {
     /// Tag this simulation's forensic events with a fleet device index
     /// and defer sink recording to the fleet's merged record (the fleet
     /// co-simulator calls this at construction; standalone sims keep
-    /// device 0 and record themselves in [`ServeSim::finish`]).
+    /// device 0 and record themselves in [`ServeSim::run`]).
     pub fn set_forensics_device(&mut self, device: u32) {
         self.dev_tag = device;
         self.fleet_member = true;
@@ -1568,15 +1503,20 @@ impl ServeSim {
     pub fn report(&self) -> ContinuousReport {
         let latencies = Histogram::from_samples(self.completions.iter().map(|c| c.latency_s));
         let ttfts = Histogram::from_samples(self.completions.iter().map(|c| c.ttft_s));
+        let (mut occupancy_sum, mut decode_iters) = (0usize, 0usize);
+        for it in self.trace.iter().filter(|it| it.decoding > 0) {
+            occupancy_sum += it.decoding;
+            decode_iters += 1;
+        }
         ContinuousReport {
             makespan_s: self.t,
             mean_latency_s: latencies.mean(),
             p95_latency_s: latencies.quantile_or_zero(0.95),
             output_tok_s: if self.t > 0.0 { self.served_tokens as f64 / self.t } else { 0.0 },
-            mean_occupancy: self.occupancy_sum as f64 / self.decode_iters.max(1) as f64,
+            mean_occupancy: occupancy_sum as f64 / decode_iters.max(1) as f64,
             requests: latencies.count(),
             energy_j: self.energy_j,
-            preemptions: self.preemptions,
+            preemptions: self.preemptions(),
             mean_ttft_s: ttfts.mean(),
             p50_ttft_s: ttfts.quantile_or_zero(0.50),
             p99_ttft_s: ttfts.quantile_or_zero(0.99),
@@ -1584,15 +1524,19 @@ impl ServeSim {
         }
     }
 
-    /// Consume the simulation into a [`ServeRun`].
+    /// Step to the end of the run, then consume the simulation into a
+    /// [`ServeRun`]; on an already drained simulation this only does the
+    /// latter.
     ///
     /// When the process-wide [`edgellm_trace::sink`] is enabled, the
     /// run's full timeline — iteration spans, preemption instants, KV and
-    /// rail-power counter tracks — is appended to it as a new process
-    /// before the state is consumed, which is how `--trace-out` captures
-    /// every serve run an experiment performs without code changes.
-    pub fn finish(self) -> ServeRun {
-        let report = self.report();
+    /// rail-power counter tracks — is appended to it as a new process,
+    /// which is how `--trace-out` captures every serve run an experiment
+    /// performs without code changes.
+    pub fn run(mut self) -> Result<ServeRun, RunError> {
+        while let Some(now) = self.next_event_s() {
+            self.step(now)?;
+        }
         if !self.fleet_member && forensics::sink::enabled() {
             forensics::sink::record(forensics::reconstruct(&self.forensics()));
         }
@@ -1604,26 +1548,11 @@ impl ServeSim {
                     pid,
                     &self.label,
                     &self.trace,
-                    &self.rail_log,
-                    &self.cache_log,
-                    &self.preempt_log,
+                    &self.preemption_events(),
                 );
             });
         }
-        ServeRun {
-            report,
-            trace: self.trace,
-            completions: self.completions,
-            cancelled: self.cancel_log,
-            kv_blocks_allocated: self.kv_allocated,
-            kv_blocks_freed: self.kv_freed,
-            kv_cache_hit_tokens: self.kv.cache_hit_tokens(),
-            kv_blocks_cow: self.kv.cow_events(),
-            served_output_tokens: self.served_tokens,
-            spec_drafted: self.spec_drafted,
-            spec_accepted: self.spec_accepted,
-            spec_rolled_back: self.spec_rolled_back,
-        }
+        Ok(ServeRun { report: self.report(), audit: self.audit() })
     }
 }
 
@@ -1631,7 +1560,6 @@ impl ServeSim {
 mod tests {
     use super::*;
     use crate::arrivals::PoissonArrivals;
-    use crate::serve::EventScheduler;
     use edgellm_models::{Llm, Precision};
 
     fn setup() -> (DeviceSpec, RunConfig) {
@@ -1642,16 +1570,17 @@ mod tests {
     fn stepped_sim_matches_run_wrapper_exactly() {
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(2.0).generate(30, 13);
-        let wrapped = EventScheduler::new(ServeConfig::chunked(16)).run(&dev, &cfg, &reqs).unwrap();
+        let wrapped =
+            ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap().run().unwrap();
         let mut sim = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap();
         while let Some(now) = sim.next_event_s() {
             sim.step(now).unwrap();
         }
-        let direct = sim.finish();
+        let direct = sim.run().unwrap();
         assert_eq!(wrapped.report, direct.report);
-        assert_eq!(wrapped.trace, direct.trace);
-        assert_eq!(wrapped.kv_blocks_allocated, direct.kv_blocks_allocated);
-        assert_eq!(wrapped.served_output_tokens, direct.served_output_tokens);
+        assert_eq!(wrapped.audit.trace, direct.audit.trace);
+        assert_eq!(wrapped.audit.kv_blocks_allocated, direct.audit.kv_blocks_allocated);
+        assert_eq!(wrapped.audit.served_output_tokens, direct.audit.served_output_tokens);
     }
 
     #[test]
@@ -1719,10 +1648,12 @@ mod tests {
         let mk = |id: u64| Request { id, arrival_s: 0.5, input_tokens: 32, output_tokens: 64 };
         let fwd = [mk(0), mk(1), mk(2)];
         let rev = [mk(2), mk(1), mk(0)];
-        let a = EventScheduler::new(ServeConfig::chunked(2)).run(&dev, &cfg, &fwd).unwrap();
-        let b = EventScheduler::new(ServeConfig::chunked(2)).run(&dev, &cfg, &rev).unwrap();
+        let run = |reqs: &[Request]| {
+            ServeSim::new(ServeConfig::chunked(2), &dev, &cfg, reqs).unwrap().run().unwrap()
+        };
+        let (a, b) = (run(&fwd), run(&rev));
         assert_eq!(a.report, b.report);
-        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.audit.trace, b.audit.trace);
     }
 
     #[test]
@@ -1831,7 +1762,7 @@ mod tests {
         assert_eq!(sim.kv_cache_hit_tokens(), 0);
         assert_eq!(sim.kv_blocks_cow(), 0);
         assert_eq!(sim.kv_cached_blocks(), 0);
-        assert!(sim.cache_occupancy_log().is_empty());
+        assert!(sim.trace().iter().all(|it| it.kv_cached_blocks.is_none()));
         let audit = sim.audit();
         assert!(audit.kv_integrity.is_empty(), "{:?}", audit.kv_integrity);
         assert_eq!(audit.kv_blocks_in_use, 0);
@@ -1881,7 +1812,7 @@ mod tests {
             warm.energy_j(),
             cold.energy_j()
         );
-        assert!(!warm.cache_occupancy_log().is_empty());
+        assert!(warm.trace().iter().all(|it| it.kv_cached_blocks.is_some()));
         // Drained audit: only the cache parks blocks, and the refcount
         // self-check is clean.
         let audit = warm.audit();
@@ -2051,6 +1982,27 @@ mod tests {
     }
 
     #[test]
+    fn cancel_releases_prompt_ids_queued_or_live() {
+        let (dev, cfg) = setup();
+        let reqs = [
+            Request { id: 0, arrival_s: 0.0, input_tokens: 32, output_tokens: 64 },
+            Request { id: 1, arrival_s: 50.0, input_tokens: 32, output_tokens: 8 },
+        ];
+        let prompts: HashMap<u64, Vec<TokenId>> =
+            reqs.iter().map(|r| (r.id, vec![9; 32])).collect();
+        let serve = ServeConfig::chunked(16).with_prefix_cache();
+        let mut sim = ServeSim::new_with_prompts(serve, &dev, &cfg, &reqs, &prompts).unwrap();
+        sim.step(0.0).unwrap();
+        assert_eq!(sim.live.len(), 1, "request 0 is live, request 1 still queued");
+        assert!(sim.cancel(1));
+        assert!(sim.cancel(0));
+        assert!(!sim.prompts.contains_key(&1), "a queued cancel keeps no prompt ids");
+        assert!(!sim.prompts.contains_key(&0), "a live cancel keeps no prompt ids");
+        assert!(sim.is_done());
+        assert_eq!(sim.audit().cancelled, vec![(sim.now(), 1), (sim.now(), 0)]);
+    }
+
+    #[test]
     fn shrink_kv_pool_preempts_survivors_to_fit() {
         let (dev, cfg) = setup();
         let reqs: Vec<Request> = (0..6)
@@ -2145,9 +2097,9 @@ mod tests {
         }
         let t_flip = sim.now() + 10.0;
         assert!(t_flip < 30.0, "flip lands inside the idle gap");
-        let idle_old = sim.idle_power;
+        let idle_old = sim.op.idle_power;
         sim.set_power_mode_at(&slow, t_flip).unwrap();
-        let idle_new = sim.idle_power;
+        let idle_new = sim.op.idle_power;
         assert!(
             (idle_old - idle_new).abs() > 1e-12,
             "modes with different clocks idle at different power"
@@ -2199,10 +2151,10 @@ mod tests {
             bare.step(now).unwrap();
         }
         let t_flip = split.now() + 10.0;
-        let idle_old = split.idle_power;
+        let idle_old = split.op.idle_power;
         split.set_power_mode_at(&slow, t_flip).unwrap();
         bare.set_power_mode(&slow).unwrap();
-        let idle_new = bare.idle_power;
+        let idle_new = bare.op.idle_power;
         while let Some(now) = split.next_event_s() {
             split.step(now).unwrap();
         }

@@ -3,8 +3,11 @@
 //! Each scheduler step — a fused prefill+decode iteration, a solo
 //! blocking prefill, or an idle gap — produces one [`IterationTrace`]
 //! record. The trace is the raw material for the serving report's energy
-//! integral, TTFT quantiles and KV-pressure analysis, and is returned to
-//! callers so experiments can plot per-iteration dynamics.
+//! integral, mean occupancy and KV-pressure analysis, and for the
+//! timeline's KV, rail-power and cached-block counter tracks; it is
+//! returned to callers so experiments can plot per-iteration dynamics.
+
+use edgellm_power::RailBreakdown;
 
 /// What the engine did during one scheduler iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +45,12 @@ pub struct IterationTrace {
     pub power_w: f64,
     /// Tokens processed: prefill chunk tokens plus decode tokens.
     pub tokens: u64,
+    /// Per-rail power during the iteration (W) — the GPU/CPU/DDR/SoC
+    /// view of `power_w`.
+    pub rails: RailBreakdown,
+    /// Blocks parked in the prefix cache at the end of the iteration;
+    /// `None` with the prefix cache off.
+    pub kv_cached_blocks: Option<usize>,
 }
 
 impl IterationTrace {
@@ -75,6 +84,8 @@ mod tests {
             kv_blocks_total: 100,
             power_w: 40.0,
             tokens: 36,
+            rails: RailBreakdown::default(),
+            kv_cached_blocks: None,
         }
     }
 

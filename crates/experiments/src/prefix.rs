@@ -85,15 +85,8 @@ fn serve(pct: u32, cached: bool, export: bool) -> PrefixRun {
     if export {
         edgellm_trace::sink::with(|out| {
             let pid = out.next_pid();
-            record_serve_run(
-                out,
-                pid,
-                &format!("prefix-{pct}pct"),
-                sim.trace(),
-                sim.rail_trace(),
-                sim.cache_occupancy_log(),
-                sim.preemption_events(),
-            );
+            let label = format!("prefix-{pct}pct");
+            record_serve_run(out, pid, &label, sim.trace(), &sim.preemption_events());
         });
     }
     let r = sim.report();

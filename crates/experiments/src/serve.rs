@@ -9,7 +9,7 @@
 
 use crate::batch_sweep::serving_precision;
 use crate::report::{Check, ExperimentResult, Table};
-use edgellm_core::serve::{EventScheduler, ServeConfig};
+use edgellm_core::serve::{ServeConfig, ServeSim};
 use edgellm_core::{ContinuousBatcher, ContinuousReport, PoissonArrivals, RunConfig};
 use edgellm_hw::DeviceSpec;
 use edgellm_models::Llm;
@@ -53,14 +53,9 @@ pub fn run() -> ExperimentResult {
         let cfg = RunConfig::new(llm, serving_precision(llm));
         let reqs = PoissonArrivals::paper_shape(RATE).generate(N_REQS, SEED);
         let stat = ContinuousBatcher::new(16).run_static(&dev, &cfg, &reqs).expect("fits");
-        let block = EventScheduler::new(ServeConfig::blocking(16))
-            .run(&dev, &cfg, &reqs)
-            .expect("fits")
-            .report;
-        let chunked = EventScheduler::new(ServeConfig::chunked(16))
-            .run(&dev, &cfg, &reqs)
-            .expect("fits")
-            .report;
+        let run = |serve| ServeSim::new(serve, &dev, &cfg, &reqs).and_then(ServeSim::run);
+        let block = run(ServeConfig::blocking(16)).expect("fits").report;
+        let chunked = run(ServeConfig::chunked(16)).expect("fits").report;
         for (policy, r) in [("static", &stat), ("blocking", &block), ("chunked", &chunked)] {
             t.row(vec![
                 llm.short_name().to_string(),

@@ -87,15 +87,7 @@ fn serve(spec: Option<(u64, f64, bool)>, export: bool) -> SpecRun {
                 Some((k, a, false)) => format!("spec-k{k}-a{a:.1}"),
                 None => "spec-off".to_string(),
             };
-            record_serve_run(
-                out,
-                pid,
-                &label,
-                sim.trace(),
-                sim.rail_trace(),
-                sim.cache_occupancy_log(),
-                sim.preemption_events(),
-            );
+            record_serve_run(out, pid, &label, sim.trace(), &sim.preemption_events());
         });
     }
     let r = sim.report();

@@ -335,6 +335,8 @@ mod tests {
             kv_blocks_total: 1,
             power_w: 60.0,
             tokens: 1,
+            rails: Default::default(),
+            kv_cached_blocks: None,
         };
         assert!(g.absorb(&[hot]), "sustained over-cap load must trip");
         let rec = g.recovery_s(4000.0, 10.0).expect("idle cools below re-arm");

@@ -334,15 +334,7 @@ impl FleetSim {
     pub fn record_trace(&self, out: &mut Trace) {
         for d in &self.devices {
             let pid = out.next_pid();
-            record_serve_run(
-                out,
-                pid,
-                &d.cfg.name,
-                d.sim.trace(),
-                d.sim.rail_trace(),
-                d.sim.cache_occupancy_log(),
-                d.sim.preemption_events(),
-            );
+            record_serve_run(out, pid, &d.cfg.name, d.sim.trace(), &d.sim.preemption_events());
             if let Some(g) = d.governor() {
                 let start_s = d.sim.trace().first().map(|it| it.t_s - it.dt_s).unwrap_or(0.0);
                 edgellm_governor::trace::record_governor(

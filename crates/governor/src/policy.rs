@@ -407,6 +407,8 @@ mod tests {
             kv_blocks_total: 1,
             power_w: 60.0,
             tokens: 1,
+            rails: Default::default(),
+            kv_cached_blocks: None,
         };
         let mut o = obs(4000.0, 2, 0.0, 0.0);
         o.iters = std::slice::from_ref(&hot);

@@ -52,15 +52,7 @@ pub fn record_governor(out: &mut Trace, pid: u32, audit: &GovernorAudit, start_s
 pub fn record_governed_run(out: &mut Trace, sim: &ServeSim, governor: &Governor) -> u32 {
     let pid = out.next_pid();
     out.set_process_name(pid, format!("{} [governed]", sim.label()));
-    record_serve_run(
-        out,
-        pid,
-        sim.label(),
-        sim.trace(),
-        sim.rail_trace(),
-        sim.cache_occupancy_log(),
-        sim.preemption_events(),
-    );
+    record_serve_run(out, pid, sim.label(), sim.trace(), &sim.preemption_events());
     let start_s = sim.trace().first().map(|it| it.t_s - it.dt_s).unwrap_or(0.0);
     record_governor(out, pid, &governor.audit(), start_s, sim.now());
     pid

@@ -110,6 +110,8 @@ mod tests {
             kv_blocks_total: 4,
             power_w,
             tokens: 1,
+            rails: Default::default(),
+            kv_cached_blocks: None,
         }
     }
 

@@ -32,5 +32,5 @@ pub mod util;
 
 pub use calib::{ModelCalib, PrecisionCosts};
 pub use latency::{LatencyBreakdown, PerfModel};
-pub use spec::{expected_tokens_per_iteration, SpecCalib};
+pub use spec::expected_tokens_per_iteration;
 pub use util::Utilization;

@@ -8,17 +8,10 @@
 //! verify row is only its compute and context traffic, not another full
 //! weight stream.
 //!
-//! Two layers of model live here:
-//!
-//! * [`PerfModel`] extensions (`verify_batch_time`, `speculative_speedup`,
-//!   `optimal_draft_k`) — the *a-priori* roofline built from the same
-//!   calibrated constants as [`PerfModel::decode_step_time`].
-//! * [`SpecCalib`] — an *a-posteriori* linear fit `t(m) = a + b·m` to
-//!   measured verify-batch times (the `bench_kernels` m=1..8 decode-shape
-//!   sweeps), for when real kernel measurements are available.
-//!
-//! Both share the acceptance mathematics in
-//! [`expected_tokens_per_iteration`].
+//! The model is a set of [`PerfModel`] extensions (`verify_batch_time`,
+//! `speculative_speedup`, `optimal_draft_k`): an *a-priori* roofline built
+//! from the same calibrated constants as [`PerfModel::decode_step_time`],
+//! over the acceptance mathematics in [`expected_tokens_per_iteration`].
 
 use crate::latency::PerfModel;
 
@@ -115,69 +108,6 @@ impl PerfModel {
     }
 }
 
-/// A measured verify-batch cost line `t(m) = base_s + per_row_s · m`,
-/// least-squares fit to `(m, seconds)` points from `bench_kernels`'
-/// decode-dimension shapes at m = 1..8.
-///
-/// `base_s` captures everything streamed/dispatched once per iteration
-/// (weights, launch overhead); `per_row_s` is the marginal cost of one
-/// more verify row. Decode being memory-bound shows up as
-/// `per_row_s ≪ base_s`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpecCalib {
-    /// Fixed seconds per verify iteration (weight stream + dispatch).
-    pub base_s: f64,
-    /// Marginal seconds per additional verify row.
-    pub per_row_s: f64,
-}
-
-impl SpecCalib {
-    /// Least-squares fit of `t = a + b·m` to measured `(m, seconds)`
-    /// points. With fewer than two distinct `m` values the slope is 0 and
-    /// the base is the mean — a flat (maximally optimistic) line.
-    /// Negative fitted slopes are clamped to 0: a verify row cannot have
-    /// negative marginal cost, and tiny benchmark noise at small m must
-    /// not make the model claim speculation is free.
-    pub fn fit(points: &[(u64, f64)]) -> SpecCalib {
-        assert!(!points.is_empty(), "SpecCalib::fit needs at least one point");
-        let n = points.len() as f64;
-        let mean_m = points.iter().map(|&(m, _)| m as f64).sum::<f64>() / n;
-        let mean_t = points.iter().map(|&(_, t)| t).sum::<f64>() / n;
-        let sxx: f64 = points.iter().map(|&(m, _)| (m as f64 - mean_m).powi(2)).sum();
-        if sxx < 1e-12 {
-            return SpecCalib { base_s: mean_t, per_row_s: 0.0 };
-        }
-        let sxy: f64 = points.iter().map(|&(m, t)| (m as f64 - mean_m) * (t - mean_t)).sum();
-        let b = (sxy / sxx).max(0.0);
-        let a = (mean_t - b * mean_m).max(0.0);
-        SpecCalib { base_s: a, per_row_s: b }
-    }
-
-    /// Predicted seconds for one verify iteration scoring `k + 1` rows.
-    pub fn verify_time(&self, k: u64) -> f64 {
-        self.base_s + self.per_row_s * (k + 1) as f64
-    }
-
-    /// Measured-kernel analogue of [`PerfModel::speculative_speedup`]:
-    /// expected tokens per iteration over the fitted relative cost of the
-    /// verify batch vs one plain step.
-    pub fn speedup(&self, k: u64, alpha: f64) -> f64 {
-        expected_tokens_per_iteration(k, alpha) * self.verify_time(0) / self.verify_time(k)
-    }
-
-    /// The draft length maximizing [`SpecCalib::speedup`] over `0..=k_max`.
-    pub fn optimal_k(&self, alpha: f64, k_max: u64) -> u64 {
-        let mut best = (0u64, 1.0f64);
-        for k in 1..=k_max {
-            let s = self.speedup(k, alpha);
-            if s > best.1 {
-                best = (k, s);
-            }
-        }
-        best.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,31 +190,5 @@ mod tests {
         let hi = m.optimal_draft_k(1, 128, 0.95, 8);
         assert!(hi >= lo, "optimal k must not shrink with α: {lo} vs {hi}");
         assert!(hi >= 4, "α=0.95 should want deep drafts, got {hi}");
-    }
-
-    #[test]
-    fn calib_fit_recovers_a_linear_cost_line() {
-        // Synthetic bench points on t = 2ms + 0.1ms·m.
-        let pts: Vec<(u64, f64)> =
-            [1u64, 2, 4, 8].iter().map(|&m| (m, 2e-3 + 1e-4 * m as f64)).collect();
-        let c = SpecCalib::fit(&pts);
-        assert!((c.base_s - 2e-3).abs() < 1e-9, "base {}", c.base_s);
-        assert!((c.per_row_s - 1e-4).abs() < 1e-9, "slope {}", c.per_row_s);
-        assert!((c.verify_time(4) - 2.5e-3).abs() < 1e-9);
-        // Memory-bound kernels ⇒ big wins at high α.
-        assert!(c.speedup(4, 0.8) > 2.0);
-        assert!(c.optimal_k(0.9, 8) >= 4);
-    }
-
-    #[test]
-    fn calib_fit_degenerate_inputs_stay_sane() {
-        // One point: flat line at that cost, speedup = E[tokens].
-        let c = SpecCalib::fit(&[(1, 3e-3)]);
-        assert_eq!(c.per_row_s, 0.0);
-        assert!((c.speedup(4, 1.0) - 5.0).abs() < 1e-12);
-        // Noise sloping downward is clamped: never negative marginal cost.
-        let c = SpecCalib::fit(&[(1, 3.0e-3), (8, 2.9e-3)]);
-        assert!(c.per_row_s >= 0.0);
-        assert!(c.verify_time(8) >= c.verify_time(0));
     }
 }

@@ -20,9 +20,9 @@ pub fn record_rail_counters(
     out: &mut Trace,
     pid: u32,
     name: &str,
-    samples: &[(f64, RailBreakdown)],
+    samples: impl IntoIterator<Item = (f64, RailBreakdown)>,
 ) {
-    for &(t_s, b) in samples {
+    for (t_s, b) in samples {
         out.counter(
             pid,
             name,
@@ -48,7 +48,7 @@ mod tests {
     fn rail_samples_become_counter_events() {
         let mut t = Trace::new();
         let b = RailBreakdown { idle_w: 8.0, gpu_w: 20.0, cpu_w: 3.0, mem_w: 6.0 };
-        record_rail_counters(&mut t, 1, "power_rails_w", &[(0.0, b), (2.0, b)]);
+        record_rail_counters(&mut t, 1, "power_rails_w", [(0.0, b), (2.0, b)]);
         assert_eq!(t.len(), 2);
         let json = t.to_chrome_json();
         assert!(json.contains("\"gpu_w\":20"));

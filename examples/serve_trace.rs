@@ -14,7 +14,7 @@
 //! iteration spans, with KV-pool occupancy and the stacked
 //! SoC/GPU/CPU/DDR power rails as counter tracks beneath them.
 
-use edgellm::core::serve::{EventScheduler, IterPhase, ServeConfig};
+use edgellm::core::serve::{IterPhase, ServeConfig, ServeSim};
 use edgellm::core::{PoissonArrivals, RunConfig};
 use edgellm::hw::DeviceSpec;
 use edgellm::models::{Llm, Precision};
@@ -38,8 +38,8 @@ fn main() {
 
     sink::enable();
     forensics::sink::enable();
-    let run = EventScheduler::new(ServeConfig::chunked(16))
-        .run(&dev, &cfg, &reqs)
+    let run = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs)
+        .and_then(ServeSim::run)
         .expect("serve run failed");
     let events = sink::export(&out).expect("failed to write trace");
     let docs = forensics::sink::take();
@@ -61,7 +61,7 @@ fn main() {
     let phases = [IterPhase::Prefill, IterPhase::Decode, IterPhase::Mixed, IterPhase::Idle];
     for phase in phases {
         let (mut iters, mut time_s, mut energy_j) = (0usize, 0.0f64, 0.0f64);
-        for it in run.trace.iter().filter(|it| it.phase == phase) {
+        for it in run.audit.trace.iter().filter(|it| it.phase == phase) {
             iters += 1;
             time_s += it.dt_s;
             energy_j += it.energy_j();
@@ -77,7 +77,7 @@ fn main() {
             mean_w,
         );
     }
-    let total_j: f64 = run.trace.iter().map(|it| it.energy_j()).sum();
+    let total_j: f64 = run.audit.trace.iter().map(|it| it.energy_j()).sum();
     println!("\ntotal iteration energy {total_j:.1} J (report: {:.1} J)", run.report.energy_j);
 
     // Request-scoped forensics: the same run, reconstructed into

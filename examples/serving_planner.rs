@@ -9,7 +9,7 @@
 //! cargo run --release --example serving_planner
 //! ```
 
-use edgellm::core::serve::{EventScheduler, ServeConfig};
+use edgellm::core::serve::{ServeConfig, ServeSim};
 use edgellm::core::{
     ContinuousBatcher, Engine, PoissonArrivals, RunConfig, SequenceSpec, StaticBatcher,
 };
@@ -88,12 +88,9 @@ fn online_policies(engine: &Engine) {
     for rate in [0.5, 1.5, 3.0] {
         let reqs = PoissonArrivals::paper_shape(rate).generate(N_REQS, SEED);
         let stat = ContinuousBatcher::new(16).run_static(dev, &cfg, &reqs).expect("model fits");
-        let block = EventScheduler::new(ServeConfig::blocking(16))
-            .run(dev, &cfg, &reqs)
-            .expect("model fits");
-        let chunked = EventScheduler::new(ServeConfig::chunked(16))
-            .run(dev, &cfg, &reqs)
-            .expect("model fits");
+        let run = |serve| ServeSim::new(serve, dev, &cfg, &reqs).and_then(ServeSim::run);
+        let block = run(ServeConfig::blocking(16)).expect("model fits");
+        let chunked = run(ServeConfig::chunked(16)).expect("model fits");
         for (name, r) in
             [("static", &stat), ("blocking", &block.report), ("chunked", &chunked.report)]
         {

@@ -15,7 +15,7 @@
 //!
 //! and pasting the emitted tables over the `GOLDEN` constants below.
 
-use edgellm::core::serve::{EventScheduler, ServeConfig};
+use edgellm::core::serve::{ServeConfig, ServeSim};
 use edgellm::core::{
     ContinuousBatcher, ContinuousReport, Engine, PoissonArrivals, RunConfig, SequenceSpec,
     ServingReport, StaticBatcher,
@@ -57,8 +57,8 @@ fn continuous_report(llm: Llm, chunked: bool) -> ContinuousReport {
     let cfg = RunConfig::new(llm, serving_precision(llm));
     let reqs = PoissonArrivals::paper_shape(RATE).generate(N_REQS, SEED);
     if chunked {
-        EventScheduler::new(ServeConfig::chunked(16))
-            .run(engine.device(), &cfg, &reqs)
+        ServeSim::new(ServeConfig::chunked(16), engine.device(), &cfg, &reqs)
+            .and_then(ServeSim::run)
             .expect("model serves")
             .report
     } else {
@@ -497,10 +497,11 @@ fn served_token_counts_are_exact() {
         let cfg = RunConfig::new(llm, serving_precision(llm));
         let reqs = PoissonArrivals::paper_shape(RATE).generate(N_REQS, SEED);
         let submitted: u64 = reqs.iter().map(|r| r.output_tokens).sum();
-        let run = EventScheduler::new(ServeConfig::chunked(16))
-            .run(engine.device(), &cfg, &reqs)
+        let run = ServeSim::new(ServeConfig::chunked(16), engine.device(), &cfg, &reqs)
+            .and_then(ServeSim::run)
             .expect("model serves");
-        assert_eq!(run.served_output_tokens, submitted, "{llm:?}: token drift");
-        assert_eq!(run.kv_blocks_allocated, run.kv_blocks_freed, "{llm:?}: KV leak");
+        let a = &run.audit;
+        assert_eq!(a.served_output_tokens, submitted, "{llm:?}: token drift");
+        assert_eq!(a.kv_blocks_allocated, a.kv_blocks_freed, "{llm:?}: KV leak");
     }
 }

@@ -3,7 +3,7 @@
 //! monotonicities, allocator safety and energy integration.
 
 use edgellm::check::oracles::{check_fleet, check_serve};
-use edgellm::core::serve::{EventScheduler, ServeConfig, ServeSim};
+use edgellm::core::serve::{ServeConfig, ServeSim};
 use edgellm::core::{Engine, PoissonArrivals, RunConfig, SequenceSpec};
 use edgellm::corpus::{BpeTokenizer, CorpusKind, SyntheticCorpus};
 use edgellm::fleet::{run_fleet, FaultPlan, FleetConfig, FleetDevice, FleetSim, JoinShortestQueue};
@@ -182,12 +182,12 @@ proptest! {
         let audit = sim.audit();
         let violations = check_serve(&audit, &reqs);
         prop_assert!(violations.is_empty(), "oracles: {violations:?}");
-        let r = sim.finish();
+        let r = sim.run().unwrap();
         let submitted: u64 = reqs.iter().map(|q| q.output_tokens).sum();
         prop_assert_eq!(r.report.requests, n);
-        prop_assert_eq!(r.served_output_tokens, submitted);
-        prop_assert_eq!(r.kv_blocks_allocated, r.kv_blocks_freed);
-        let last = r.trace.last().unwrap();
+        prop_assert_eq!(r.audit.served_output_tokens, submitted);
+        prop_assert_eq!(r.audit.kv_blocks_allocated, r.audit.kv_blocks_freed);
+        let last = r.audit.trace.last().unwrap();
         prop_assert_eq!(last.kv_blocks_used, 0, "pool must drain");
     }
 
@@ -204,9 +204,11 @@ proptest! {
         let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
         let lo_reqs = PoissonArrivals::paper_shape(lo_rate).generate(24, seed);
         let hi_reqs = PoissonArrivals::paper_shape(lo_rate * mult).generate(24, seed);
-        let sched = EventScheduler::new(ServeConfig::chunked(16));
-        let lo = sched.run(&dev, &cfg, &lo_reqs).unwrap();
-        let hi = sched.run(&dev, &cfg, &hi_reqs).unwrap();
+        let run = |reqs| ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, reqs)
+            .and_then(ServeSim::run)
+            .unwrap();
+        let lo = run(&lo_reqs);
+        let hi = run(&hi_reqs);
         prop_assert!(
             hi.report.makespan_s <= lo.report.makespan_s + 1e-9,
             "hi-load {} vs lo-load {}", hi.report.makespan_s, lo.report.makespan_s
@@ -224,12 +226,11 @@ proptest! {
         let dev = DeviceSpec::orin_agx_64gb();
         let cfg = RunConfig::new(Llm::MistralSmall24b, Precision::Fp16);
         let reqs = PoissonArrivals::paper_shape(rate).generate(40, seed);
-        let block = EventScheduler::new(ServeConfig::blocking(16))
-            .run(&dev, &cfg, &reqs)
+        let run = |serve| ServeSim::new(serve, &dev, &cfg, &reqs)
+            .and_then(ServeSim::run)
             .unwrap();
-        let chunked = EventScheduler::new(ServeConfig::chunked(16))
-            .run(&dev, &cfg, &reqs)
-            .unwrap();
+        let block = run(ServeConfig::blocking(16));
+        let chunked = run(ServeConfig::chunked(16));
         prop_assert!(
             chunked.report.mean_ttft_s <= block.report.mean_ttft_s * 1.02 + 0.05,
             "chunked {} vs blocking {}",
@@ -287,8 +288,8 @@ proptest! {
         let dev = DeviceSpec::orin_agx_64gb();
         let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
         let reqs = PoissonArrivals::paper_shape(rate).generate(n, seed);
-        let single = EventScheduler::new(ServeConfig::chunked(16))
-            .run(&dev, &cfg, &reqs)
+        let single = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs)
+            .and_then(ServeSim::run)
             .unwrap();
         let members = vec![
             FleetDevice::new(dev.clone(), cfg.clone()),

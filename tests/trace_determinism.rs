@@ -14,7 +14,7 @@
 
 use std::sync::Mutex;
 
-use edgellm::core::serve::{EventScheduler, ServeConfig, ServeSim};
+use edgellm::core::serve::{ServeConfig, ServeSim};
 use edgellm::core::{PoissonArrivals, RunConfig};
 use edgellm::fleet::{FaultPlan, FleetConfig, FleetDevice, FleetSim, JoinShortestQueue};
 use edgellm::hw::DeviceSpec;
@@ -52,12 +52,8 @@ fn serve_trace_json(input: ServeInput, threads: usize) -> String {
         let dev = DeviceSpec::orin_agx_64gb();
         let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
         let reqs = PoissonArrivals::paper_shape(2.0).generate(12, 42);
-        match input {
-            ServeInput::Plain => {
-                EventScheduler::new(ServeConfig::chunked(16))
-                    .run(&dev, &cfg, &reqs)
-                    .expect("serve run succeeds");
-            }
+        let sim = match input {
+            ServeInput::Plain => ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs),
             ServeInput::Pressured => {
                 let pool = 160 * cfg.llm.arch().kv_bytes_per_token();
                 let serve = ServeConfig::chunked(8)
@@ -66,14 +62,10 @@ fn serve_trace_json(input: ServeInput, threads: usize) -> String {
                     .kv_pool_cap(pool);
                 let system: Vec<u32> = (0..16).map(|i| 7_000 + i).collect();
                 let prompts = reqs.iter().map(|r| (r.id, system.clone())).collect();
-                let mut sim = ServeSim::new_with_prompts(serve, &dev, &cfg, &reqs, &prompts)
-                    .expect("serve sim builds");
-                while let Some(now) = sim.next_event_s() {
-                    sim.step(now).expect("serve run succeeds");
-                }
-                sim.finish();
+                ServeSim::new_with_prompts(serve, &dev, &cfg, &reqs, &prompts)
             }
-        }
+        };
+        sim.and_then(ServeSim::run).expect("serve run succeeds");
         sink::disable();
         sink::take().to_chrome_json()
     })
