@@ -175,6 +175,11 @@ fn faulted_fleet_trace_json(threads: usize) -> String {
     })
 }
 
+/// FNV-1a over `s`'s bytes: pins a timeline without committing it.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 #[test]
 fn faulted_fleet_timeline_is_byte_identical_across_thread_counts() {
     let reference = faulted_fleet_trace_json(THREAD_COUNTS[0]);
@@ -190,6 +195,13 @@ fn faulted_fleet_timeline_is_byte_identical_across_thread_counts() {
             THREAD_COUNTS[0]
         );
     }
+    // Digest at the last intended change to simulated behaviour; re-pin
+    // from the failure message.
+    let (got, pinned) = (fnv1a(&reference), 0xca43_d50f_f778_6108u64);
+    assert_eq!(
+        got, pinned,
+        "faulted fleet timeline digest is now {got:#018x}, pinned {pinned:#018x}"
+    );
 }
 
 #[test]

@@ -15,10 +15,12 @@
 use std::sync::Mutex;
 
 use edgellm::core::serve::{ServeConfig, ServeSim};
-use edgellm::core::{PoissonArrivals, Request, RunConfig};
-use edgellm::fleet::{FaultPlan, FleetConfig, FleetDevice, FleetSim, JoinShortestQueue};
+use edgellm::core::{CloudEndpoint, PoissonArrivals, Request, RunConfig};
+use edgellm::fleet::{
+    FaultPlan, FleetConfig, FleetDevice, FleetReport, FleetSim, JoinShortestQueue, SloAware,
+};
 use edgellm::governor::{HystereticLadder, ModeLadder, SloSpec};
-use edgellm::hw::DeviceSpec;
+use edgellm::hw::{DeviceSpec, PowerMode};
 use edgellm::models::{Llm, Precision};
 use edgellm::trace::forensics::{self, ForensicsLog};
 use proptest::prelude::*;
@@ -93,28 +95,77 @@ fn governed_pair() -> Vec<FleetDevice> {
     ]
 }
 
-/// Run the bursty governed fleet and return `(report energy, forensic
-/// export JSON, flight dump)` — everything the byte-identity and
-/// acceptance tests compare.
-fn governed_fleet_artifacts(threads: usize) -> (f64, String, String) {
+/// The bursty governed fleet.
+fn governed_fleet() -> FleetSim {
+    FleetSim::new(
+        governed_pair(),
+        Box::new(JoinShortestQueue),
+        FleetConfig::default(),
+        &bursty_requests(),
+    )
+    .expect("fleet builds")
+}
+
+/// A lone Xavier behind the deadline-aware router with a cloud endpoint,
+/// loaded hot enough to spill, and dark from 5 s to 15 s: its evacuated
+/// work and every arrival in that window go to the cloud too.
+fn cloud_fleet() -> FleetSim {
+    let xav = DeviceSpec::xavier_agx_32gb();
+    let cfg =
+        RunConfig::new(Llm::Llama31_8b, Precision::Int4).power_mode(PowerMode::maxn_for(&xav));
+    let fleet_cfg = FleetConfig {
+        slo_latency_s: 20.0,
+        cloud: Some(CloudEndpoint::datacenter()),
+        faults: FaultPlan::none().outage(0, 5.0, 15.0),
+    };
+    let reqs = PoissonArrivals::paper_shape(4.0).generate(40, 13);
+    FleetSim::new(vec![FleetDevice::new(xav, cfg)], Box::new(SloAware::new(20.0)), fleet_cfg, &reqs)
+        .expect("fleet builds")
+}
+
+/// Two AGX twins dark together from 1 s to 60 s with no cloud: their
+/// evacuated work and every arrival in the window wait in the hold
+/// queue until recovery. One held request is cancelled there, and one
+/// more on a device after recovery.
+fn held_fleet() -> FleetSim {
+    let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
+    let members = vec![
+        FleetDevice::new(DeviceSpec::orin_agx_64gb(), cfg.clone()).named("agx-0"),
+        FleetDevice::new(DeviceSpec::orin_agx_64gb(), cfg).named("agx-1"),
+    ];
+    let reqs = PoissonArrivals::paper_shape(2.0).generate(20, 5);
+    let held = reqs.iter().find(|r| r.arrival_s > 1.0).expect("an arrival inside the outage");
+    let faults = FaultPlan::none()
+        .outage(0, 1.0, 60.0)
+        .outage(1, 1.0, 60.0)
+        .cancel(30.0, held.id)
+        .cancel(60.5, reqs[19].id);
+    let fleet_cfg = FleetConfig { faults, ..FleetConfig::default() };
+    FleetSim::new(members, Box::new(JoinShortestQueue), fleet_cfg, &reqs).expect("fleet builds")
+}
+
+/// Run the fleet `build` makes and return `(report, forensic export
+/// JSON, flight dump)` — everything the byte-identity and acceptance
+/// tests compare.
+fn fleet_artifacts(threads: usize, build: fn() -> FleetSim) -> (FleetReport, String, String) {
     rayon::with_num_threads(threads, || {
         forensics::flight::clear();
         forensics::sink::disable();
         let _ = forensics::sink::take();
         forensics::sink::enable();
-        let sim = FleetSim::new(
-            governed_pair(),
-            Box::new(JoinShortestQueue),
-            FleetConfig::default(),
-            &bursty_requests(),
-        )
-        .expect("fleet builds");
-        let report = sim.run().expect("fleet drains");
+        let report = build().run().expect("fleet drains");
         forensics::sink::disable();
         let docs = forensics::sink::take();
         assert_eq!(docs.len(), 1, "one fleet run, one document");
-        (report.energy_j, forensics::export_forensics(&docs), forensics::flight::dump())
+        (report, forensics::export_forensics(&docs), forensics::flight::dump())
     })
+}
+
+/// [`fleet_artifacts`] of the bursty governed fleet, with the report
+/// reduced to its energy.
+fn governed_fleet_artifacts(threads: usize) -> (f64, String, String) {
+    let (report, export, dump) = fleet_artifacts(threads, governed_fleet);
+    (report.energy_j, export, dump)
 }
 
 proptest! {
@@ -270,6 +321,33 @@ fn forensic_artifacts_are_byte_identical_across_thread_counts() {
             got, pinned,
             "forensics {what} digest is now {got:#018x}, pinned {pinned:#018x}"
         );
+    }
+}
+
+/// The fleet's cloud and hold paths — offloads with their cloud first
+/// token and completion, requests held while every device is down, a
+/// cancel in the hold queue — pinned like the governed fleet's
+/// artifacts (re-pin from the failure message).
+#[test]
+fn cloud_and_hold_forensic_artifacts_are_pinned() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (report, export, dump) = fleet_artifacts(1, cloud_fleet);
+    assert!(report.offloaded > 0 && report.completed == 40, "{report:?}");
+    assert!(dump.contains(" offloaded"), "cloud events dumped");
+    let pins = [
+        ("cloud export", &export, 0xb87c_549b_aca0_dfb5u64),
+        ("cloud flight dump", &dump, 0xfdfd_f15f_62bc_9f96),
+    ];
+    let (report, held_export, held_dump) = fleet_artifacts(1, held_fleet);
+    assert_eq!((report.cancelled, report.lost, report.completed), (2, 0, 18), "{report:?}");
+    assert!(held_dump.contains(" held") && held_dump.contains(" cancelled"), "hold events dumped");
+    let held_pins = [
+        ("hold export", &held_export, 0xdf6c_4a1c_fc14_a53au64),
+        ("hold flight dump", &held_dump, 0x7058_b875_975f_77ec),
+    ];
+    for (what, text, pinned) in pins.into_iter().chain(held_pins) {
+        let got = fnv1a(text);
+        assert_eq!(got, pinned, "{what} digest is now {got:#018x}, pinned {pinned:#018x}");
     }
 }
 
