@@ -2,7 +2,7 @@
 //! [`ServeSim`], plus health state and an optional thermal guard.
 
 use edgellm_core::serve::{GovernorHook, ServeConfig, ServeSim};
-use edgellm_core::{Request, RunConfig, RunError};
+use edgellm_core::{RunConfig, RunError};
 use edgellm_governor::{cost, Governor, GovernorPolicy};
 use edgellm_hw::DeviceSpec;
 use edgellm_power::ThermalModel;
@@ -31,9 +31,6 @@ pub struct FleetDevice {
     /// member's serve simulation consults it at every iteration
     /// boundary and retunes its power mode in flight.
     pub governor: Option<Box<dyn GovernorPolicy>>,
-    /// Dwell-floor override for the governor (s). `None` keeps
-    /// [`edgellm_governor::DEFAULT_MIN_DWELL_S`].
-    pub governor_min_dwell: Option<f64>,
 }
 
 impl FleetDevice {
@@ -46,7 +43,6 @@ impl FleetDevice {
             serve_cfg: ServeConfig::chunked(16),
             thermal: None,
             governor: None,
-            governor_min_dwell: None,
         }
     }
 
@@ -74,12 +70,6 @@ impl FleetDevice {
     /// follow every change.
     pub fn governed(mut self, policy: Box<dyn GovernorPolicy>) -> Self {
         self.governor = Some(policy);
-        self
-    }
-
-    /// Override the governor's dwell floor between mode changes (s).
-    pub fn governor_dwell(mut self, min_dwell_s: f64) -> Self {
-        self.governor_min_dwell = Some(min_dwell_s);
         self
     }
 }
@@ -135,6 +125,19 @@ impl ThermalGuard {
     }
 }
 
+/// What one member step hands back to the fleet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stepped {
+    /// An ordinary scheduler turn.
+    Ran,
+    /// The thermal guard tripped: the member leaves the fleet until the
+    /// cooldown ends (`None` = it never recovers unaided).
+    Tripped(Option<f64>),
+    /// The governor stepped the member to this ladder rung at the step's
+    /// closing boundary.
+    Governed(usize),
+}
+
 /// Live simulation state of one fleet member.
 #[derive(Debug, Clone)]
 pub(crate) struct DeviceSim {
@@ -148,9 +151,6 @@ pub(crate) struct DeviceSim {
     idle_power_w: f64,
     est_decode_tok_s: f64,
     est_energy_per_token_j: f64,
-    /// Requests routed to this member (first-route + re-routes).
-    pub(crate) routed: usize,
-    pub(crate) thermal_trips: usize,
 }
 
 impl DeviceSim {
@@ -160,19 +160,11 @@ impl DeviceSim {
         let sim =
             ServeSim::with_seq_hint(cfg.serve_cfg, &cfg.device, &cfg.run_cfg, max_seq_tokens)?;
         let guard = cfg.thermal.as_ref().map(|m| ThermalGuard::new(*m));
-        let gov = cfg.governor.clone().map(|p| {
-            let g = Governor::new(
-                p,
-                &cfg.device,
-                cfg.run_cfg.llm,
-                cfg.run_cfg.precision,
-                &cfg.run_cfg.power_mode,
-            );
-            match cfg.governor_min_dwell {
-                Some(d) => g.min_dwell(d),
-                None => g,
-            }
-        });
+        let (llm, precision) = (cfg.run_cfg.llm, cfg.run_cfg.precision);
+        let gov = cfg
+            .governor
+            .clone()
+            .map(|p| Governor::new(p, &cfg.device, llm, precision, &cfg.run_cfg.power_mode));
         let mut d = DeviceSim {
             cfg,
             sim,
@@ -183,8 +175,6 @@ impl DeviceSim {
             idle_power_w: 0.0,
             est_decode_tok_s: 0.0,
             est_energy_per_token_j: 0.0,
-            routed: 0,
-            thermal_trips: 0,
         };
         d.refresh_estimates();
         Ok(d)
@@ -240,46 +230,35 @@ impl DeviceSim {
         }
     }
 
-    pub(crate) fn submit(&mut self, r: &Request) {
-        self.sim.submit(r);
-        self.routed += 1;
-    }
-
-    pub(crate) fn submit_with_prompt(&mut self, r: &Request, prompt: &[u32]) {
-        self.sim.submit_with_prompt(r, prompt);
-        self.routed += 1;
-    }
-
-    /// Step the serve simulation one event; if the thermal guard trips,
-    /// returns the cooldown end (`None` inner = never recovers unaided).
+    /// Step the serve simulation one event.
     ///
     /// When a governor is attached it observes the iteration right after
     /// the thermal guard integrates it (so it sees the live junction
     /// temperature) and its decision is applied at the iteration
     /// boundary — the same boundary-exact semantics as
-    /// [`ServeSim::step_governed`]. A step that trips the guard skips
+    /// [`ServeSim::step_governed`] — with the routing estimates
+    /// refreshed for the new mode. A step that trips the guard skips
     /// the governor: the device is about to leave the fleet.
-    pub(crate) fn step(&mut self, now: f64) -> Result<Option<Option<f64>>, RunError> {
+    pub(crate) fn step(&mut self, now: f64) -> Result<Stepped, RunError> {
         let mark = self.sim.trace().len();
         self.sim.step(now)?;
         if let Some(guard) = &mut self.guard {
             if guard.absorb(self.sim.trace()) {
-                self.thermal_trips += 1;
-                let recover = guard.recovery_s(self.sim.now(), self.idle_power_w);
-                return Ok(Some(recover));
+                return Ok(Stepped::Tripped(guard.recovery_s(self.sim.now(), self.idle_power_w)));
             }
         }
         if self.sim.trace().len() > mark {
             if let Some(gov) = &mut self.gov {
                 let temp = self.guard.as_ref().map(|g| g.temp_c);
-                let decision = gov.on_iteration(&self.sim.observe(mark, temp));
-                if let Some(pm) = decision {
+                if let Some(pm) = gov.on_iteration(&self.sim.observe(mark, temp)) {
+                    let rung = gov.current();
                     self.sim.set_power_mode(&pm)?;
                     self.refresh_estimates();
+                    return Ok(Stepped::Governed(rung));
                 }
             }
         }
-        Ok(None)
+        Ok(Stepped::Ran)
     }
 
     /// Bring a thermally-tripped device back: reset the junction to the

@@ -28,7 +28,7 @@ use edgellm_core::{CloudEndpoint, Request, RunError};
 use edgellm_trace::forensics::{self, ForensicsLog};
 use edgellm_trace::{Arg, Trace};
 
-use crate::device::{DeviceSim, FleetDevice};
+use crate::device::{DeviceSim, FleetDevice, Stepped};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::queue::{Key, Tournament};
 use crate::report::{DeviceReport, FleetReport};
@@ -53,9 +53,12 @@ impl Default for FleetConfig {
 
 /// One router-level occurrence, timestamped on the shared fleet clock.
 ///
-/// The simulator always keeps this log (a few plain enums per request —
-/// negligible next to the per-iteration serve traces), so a finished run
-/// can be rendered onto a timeline without re-running it.
+/// The log of these marks is the fleet's one record (a few plain enums
+/// per request — negligible next to the per-iteration serve traces): the
+/// report's offload, cancel, re-route, placement and thermal-trip counts,
+/// the fleet-scope forensic events and the router's timeline track are
+/// all read from it, so a finished run can be rendered without re-running
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterMark {
     /// Request `rid` was placed on device `device`.
@@ -120,6 +123,9 @@ pub enum RouterMark {
     Cancelled {
         /// Request id.
         rid: u64,
+        /// Fleet index of the device that held it; `None` for the
+        /// router's hold queue.
+        device: Option<usize>,
     },
     /// A device's quiescent clock jumped forward.
     ClockSkewed {
@@ -169,24 +175,12 @@ pub struct FleetSim {
     /// Requests with nowhere to go (whole fleet dark, no cloud); flushed
     /// at the next recovery.
     held: Vec<Request>,
-    reroutes: usize,
-    offloaded: usize,
-    /// Requests cancelled by fault injection (held-queue and on-device).
-    cancelled: usize,
-    cloud_completions: Vec<Completion>,
-    cloud_energy_j: f64,
-    cloud_done_s: f64,
-    /// Router event log: `(fleet time, mark)`, in occurrence order.
+    /// Router event log: `(fleet time, mark)`, in occurrence order — the
+    /// fleet's one record, written only by [`FleetSim::mark`].
     tlog: Vec<(f64, RouterMark)>,
-    /// Fleet-scope forensic lifecycle events (routing, holds, outages,
-    /// cloud offloads) merged with per-device logs by
-    /// [`FleetSim::forensics`].
-    fevents: Vec<forensics::Event>,
-    /// Per-request cloud energy shares, in offload order.
-    cloud_req_energy: Vec<(u64, f64)>,
-    /// Per-device count of governor decisions already reconciled into
-    /// the router log.
-    gov_seen: Vec<usize>,
+    /// Each offload's cloud completion and edge-side energy (J), in the
+    /// order of the log's `Offloaded` marks.
+    cloud: Vec<(Completion, f64)>,
     /// Prompt token ids by request id, for members serving with a prefix
     /// cache: routing probes each device's radix cache against the
     /// prompt, and placement hands it to the device so admission can
@@ -250,16 +244,8 @@ impl FleetSim {
             next_arrival: 0,
             next_fault: 0,
             held: Vec::new(),
-            reroutes: 0,
-            offloaded: 0,
-            cancelled: 0,
-            cloud_completions: Vec::new(),
-            cloud_energy_j: 0.0,
-            cloud_done_s: 0.0,
             tlog: Vec::new(),
-            fevents: Vec::new(),
-            cloud_req_energy: Vec::new(),
-            gov_seen: vec![0; n],
+            cloud: Vec::new(),
             prompts: std::collections::HashMap::new(),
             index,
             views,
@@ -399,7 +385,7 @@ impl FleetSim {
                         ("rung".to_string(), Arg::U64(rung as u64)),
                     ],
                 ),
-                RouterMark::Cancelled { rid } => {
+                RouterMark::Cancelled { rid, .. } => {
                     ("cancel", vec![("rid".to_string(), Arg::U64(rid))])
                 }
                 RouterMark::ClockSkewed { device, ahead_ms } => (
@@ -414,31 +400,39 @@ impl FleetSim {
         }
     }
 
-    /// Router event log so far: `(fleet time, mark)` in occurrence order.
-    pub fn router_log(&self) -> &[(f64, RouterMark)] {
-        &self.tlog
+    /// Append `mark` to the router log — its only writer — and hand the
+    /// flight recorder the lifecycle events the mark stands for. An
+    /// `Offloaded` mark's cloud completion must already be in `cloud`.
+    fn mark(&mut self, t_s: f64, mark: RouterMark) {
+        self.tlog.push((t_s, mark));
+        lifecycle(t_s, mark, self.cloud.last().map(|(c, _)| c), &mut forensics::flight::record);
     }
 
-    /// Record one fleet-scope lifecycle event, mirrored into the global
-    /// flight recorder.
-    fn femit(&mut self, t_s: f64, rid: u64, device: u32, kind: forensics::EventKind) {
-        let ev = forensics::Event { t_s, rid, device, kind };
-        self.fevents.push(ev);
-        forensics::flight::record(ev);
+    /// Edge-side energy of every offload (J), summed in offload order.
+    fn cloud_energy_j(&self) -> f64 {
+        // Folded from +0.0: an empty `f64` sum is -0.0.
+        self.cloud.iter().fold(0.0, |sum, &(_, e)| sum + e)
     }
 
-    /// The fleet's merged forensic record: router-scope events plus every
-    /// member's device-scope log, time-sorted on the shared clock (stable
-    /// for equal stamps, fleet events first, so a `Routed` always
-    /// precedes its device's `Submitted`). The energy ledger folds every
-    /// member's per-request shares and idle integral together with the
-    /// cloud endpoint's per-offload shares; its total matches
-    /// `FleetReport::energy_j`.
+    /// The fleet's merged forensic record: the router log's lifecycle
+    /// events plus every member's device-scope log, time-sorted on the
+    /// shared clock (stable for equal stamps, fleet events first, so a
+    /// `Routed` always precedes its device's `Submitted`). The energy
+    /// ledger folds every member's per-request shares and idle integral
+    /// together with the cloud endpoint's per-offload shares; its total
+    /// matches `FleetReport::energy_j`.
     pub fn forensics(&self) -> ForensicsLog {
-        let mut events = self.fevents.clone();
+        let mut events = Vec::new();
+        let mut offloads = self.cloud.iter().map(|(c, _)| c);
+        for &(t_s, mark) in &self.tlog {
+            let offload =
+                if matches!(mark, RouterMark::Offloaded { .. }) { offloads.next() } else { None };
+            lifecycle(t_s, mark, offload, &mut |ev| events.push(ev));
+        }
         let mut req_energy: BTreeMap<u64, f64> = BTreeMap::new();
         let mut idle_energy_j = 0.0;
-        let mut total_energy_j = self.cloud_energy_j;
+        let cloud_energy_j = self.cloud_energy_j();
+        let mut total_energy_j = cloud_energy_j;
         for d in &self.devices {
             let f = d.sim.forensics();
             events.extend(f.events);
@@ -448,8 +442,8 @@ impl FleetSim {
             idle_energy_j += f.idle_energy_j;
             total_energy_j += f.total_energy_j;
         }
-        for &(rid, e) in &self.cloud_req_energy {
-            *req_energy.entry(rid).or_insert(0.0) += e;
+        for (c, e) in &self.cloud {
+            *req_energy.entry(c.rid).or_insert(0.0) += e;
         }
         events.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).expect("finite event times"));
         ForensicsLog {
@@ -457,7 +451,7 @@ impl FleetSim {
             events,
             req_energy: req_energy.into_iter().collect(),
             idle_energy_j,
-            cloud_energy_j: self.cloud_energy_j,
+            cloud_energy_j,
             total_energy_j,
         }
     }
@@ -470,27 +464,40 @@ impl FleetSim {
         }
     }
 
-    /// Aggregate the finished run into a [`FleetReport`].
+    /// Aggregate the finished run into a [`FleetReport`]: the counts are
+    /// folded from the router log, the cloud's share from `cloud`.
     fn build_report(self) -> FleetReport {
-        let lost = self.held.len();
+        let n = self.devices.len();
+        let (mut routed, mut thermal_trips) = (vec![0; n], vec![0; n]);
+        let (mut cancelled, mut reroutes) = (0, 0);
+        for &(_, mark) in &self.tlog {
+            match mark {
+                RouterMark::Routed { device, .. } => routed[device] += 1,
+                RouterMark::DeviceDown { device, thermal: true } => thermal_trips[device] += 1,
+                RouterMark::Evacuated { count, .. } => reroutes += count,
+                RouterMark::Cancelled { .. } => cancelled += 1,
+                _ => {}
+            }
+        }
+        let mut makespan =
+            self.cloud.iter().fold(0.0, |end: f64, (c, _)| end.max(c.arrival_s + c.latency_s));
         let mut completions = Vec::new();
-        let mut device_reports = Vec::with_capacity(self.devices.len());
-        let mut makespan = self.cloud_done_s;
-        for d in &self.devices {
+        let mut device_reports = Vec::with_capacity(n);
+        for (i, d) in self.devices.iter().enumerate() {
             completions.extend_from_slice(d.sim.completions());
             makespan = makespan.max(d.sim.now());
             device_reports.push(DeviceReport {
                 name: d.cfg.name.clone(),
-                routed: d.routed,
+                routed: routed[i],
                 completed: d.sim.completions().len(),
                 output_tokens: d.sim.served_output_tokens(),
                 energy_j: d.sim.energy_j(),
                 busy_until_s: d.sim.now(),
                 preemptions: d.sim.preemptions(),
-                thermal_trips: d.thermal_trips,
+                thermal_trips: thermal_trips[i],
             });
         }
-        completions.extend_from_slice(&self.cloud_completions);
+        completions.extend(self.cloud.iter().map(|&(c, _)| c));
         // Canonical order for reproducible aggregates: by request id.
         completions.sort_by_key(|c| c.rid);
         FleetReport::build(
@@ -498,12 +505,12 @@ impl FleetSim {
             device_reports,
             &completions,
             self.arrivals.len(),
-            self.offloaded,
-            lost,
-            self.cancelled,
-            self.reroutes,
+            self.cloud.len(),
+            self.held.len(),
+            cancelled,
+            reroutes,
             makespan,
-            self.cloud_energy_j,
+            self.cloud_energy_j(),
             self.cfg.slo_latency_s,
         )
     }
@@ -629,32 +636,22 @@ impl FleetSim {
                 self.route(r, r.arrival_s);
             }
             Event::Step(i, t) => {
-                let trip = self.device_mut(i).step(t)?;
-                self.reconcile_governor(i);
-                if let Some(recover_at) = trip {
-                    let now = self.devices[i].sim.now();
-                    self.take_down(i, now, recover_at, true);
+                let stepped = self.device_mut(i).step(t)?;
+                let now = self.devices[i].sim.now();
+                match stepped {
+                    Stepped::Ran => {}
+                    Stepped::Tripped(recover_at) => self.take_down(i, now, recover_at, true),
+                    // A self-governed mode change lands on the shared
+                    // clock like a scripted flip, at the decision's
+                    // boundary; the member already refreshed its routing
+                    // estimates, so the next decision scores the new mode.
+                    Stepped::Governed(rung) => {
+                        self.mark(now, RouterMark::GovernorStep { device: i, rung });
+                    }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Fold device `i`'s new governor decisions into the router log, so
-    /// the fleet coordinator (and every oracle reading the log) sees
-    /// self-governed mode changes on the shared clock exactly like
-    /// scripted flips. The device already refreshed its routing
-    /// estimates when it applied the change, so the very next routing
-    /// decision scores it at the new operating point.
-    fn reconcile_governor(&mut self, i: usize) {
-        let new: Vec<(f64, usize)> = match self.devices[i].governor() {
-            Some(g) => g.decisions()[self.gov_seen[i]..].iter().map(|c| (c.t_s, c.to)).collect(),
-            None => return,
-        };
-        self.gov_seen[i] += new.len();
-        for (t_s, rung) in new {
-            self.tlog.push((t_s, RouterMark::GovernorStep { device: i, rung }));
-        }
     }
 
     /// Drop a device: drain its unfinished requests and re-route them.
@@ -669,12 +666,10 @@ impl FleetSim {
         d.up = false;
         d.down_until = down_until;
         self.up_count -= 1;
-        self.tlog.push((now, RouterMark::DeviceDown { device: i, thermal }));
-        self.femit(now, forensics::NO_RID, i as u32, forensics::EventKind::DeviceDown { thermal });
+        self.mark(now, RouterMark::DeviceDown { device: i, thermal });
         let drained = self.devices[i].sim.drain_incomplete();
-        self.reroutes += drained.len();
         if !drained.is_empty() {
-            self.tlog.push((now, RouterMark::Evacuated { device: i, count: drained.len() }));
+            self.mark(now, RouterMark::Evacuated { device: i, count: drained.len() });
         }
         for r in drained {
             self.route(r, now);
@@ -693,8 +688,7 @@ impl FleetSim {
         d.up = true;
         d.down_until = None;
         self.up_count += 1;
-        self.tlog.push((now, RouterMark::DeviceUp { device: i }));
-        self.femit(now, forensics::NO_RID, i as u32, forensics::EventKind::DeviceUp);
+        self.mark(now, RouterMark::DeviceUp { device: i });
         let d = &mut self.devices[i];
         if powered {
             d.sim.idle_to(now);
@@ -721,7 +715,7 @@ impl FleetSim {
             return;
         }
         self.device_mut(i).sim.shrink_kv_pool(target);
-        self.tlog.push((now, RouterMark::KvShrunk { device: i, blocks: target }));
+        self.mark(now, RouterMark::KvShrunk { device: i, blocks: target });
     }
 
     /// Flip a device to stock power mode `index` (modulo the registry).
@@ -744,7 +738,7 @@ impl FleetSim {
         }
         d.refresh_estimates();
         d.resync_governor();
-        self.tlog.push((now, RouterMark::PowerFlipped { device: i, index: idx }));
+        self.mark(now, RouterMark::PowerFlipped { device: i, index: idx });
         Ok(())
     }
 
@@ -753,16 +747,13 @@ impl FleetSim {
     fn cancel(&mut self, rid: u64, now: f64) {
         if let Some(pos) = self.held.iter().position(|r| r.id == rid) {
             self.held.remove(pos);
-            self.cancelled += 1;
-            self.tlog.push((now, RouterMark::Cancelled { rid }));
-            self.femit(now, rid, forensics::NO_DEVICE, forensics::EventKind::Cancelled);
+            self.mark(now, RouterMark::Cancelled { rid, device: None });
             return;
         }
         for i in 0..self.devices.len() {
             if self.devices[i].sim.cancel(rid) {
                 self.touch(i);
-                self.cancelled += 1;
-                self.tlog.push((now, RouterMark::Cancelled { rid }));
+                self.mark(now, RouterMark::Cancelled { rid, device: Some(i) });
                 return;
             }
         }
@@ -778,7 +769,7 @@ impl FleetSim {
         let before = d.sim.now();
         d.sim.skip_to(now.max(before) + ahead_ms as f64 / 1000.0);
         if d.sim.now() > before {
-            self.tlog.push((now, RouterMark::ClockSkewed { device: i, ahead_ms }));
+            self.mark(now, RouterMark::ClockSkewed { device: i, ahead_ms });
         }
     }
 
@@ -812,8 +803,7 @@ impl FleetSim {
             if self.cfg.cloud.is_some() {
                 self.cloud_complete(r, now);
             } else {
-                self.tlog.push((now, RouterMark::Held { rid: r.id }));
-                self.femit(now, r.id, forensics::NO_DEVICE, forensics::EventKind::Held);
+                self.mark(now, RouterMark::Held { rid: r.id });
                 self.held.push(r);
             }
             return;
@@ -848,14 +838,13 @@ impl FleetSim {
     /// lagging idle clocks and the gap is billed at idle power exactly as
     /// the lazy step-idle path would.
     fn place(&mut self, i: usize, r: &Request, now: f64) {
-        self.tlog.push((now, RouterMark::Routed { rid: r.id, device: i }));
-        self.femit(now, r.id, i as u32, forensics::EventKind::Routed);
+        self.mark(now, RouterMark::Routed { rid: r.id, device: i });
         self.touch(i);
         let d = &mut self.devices[i];
         d.sim.idle_to(now);
         match self.prompts.get(&r.id) {
-            Some(p) => d.submit_with_prompt(r, p),
-            None => d.submit(r),
+            Some(p) => d.sim.submit_with_prompt(r, p),
+            None => d.sim.submit(r),
         }
     }
 
@@ -864,32 +853,54 @@ impl FleetSim {
         let wait = (now - r.arrival_s).max(0.0);
         let latency_s = wait + ep.request_latency_s(r.input_tokens, r.output_tokens);
         let ttft_s = latency_s - r.output_tokens as f64 / ep.tok_rate;
-        self.cloud_completions.push(Completion {
+        let done = Completion {
             rid: r.id,
             arrival_s: r.arrival_s,
             ttft_s,
             latency_s,
             output_tokens: r.output_tokens,
-        });
-        let cloud_j = ep.edge_energy_j(r.input_tokens, r.output_tokens);
-        self.cloud_energy_j += cloud_j;
-        self.cloud_req_energy.push((r.id, cloud_j));
-        self.cloud_done_s = self.cloud_done_s.max(r.arrival_s + latency_s);
-        self.offloaded += 1;
-        self.tlog.push((now, RouterMark::Offloaded { rid: r.id }));
-        self.femit(now, r.id, forensics::NO_DEVICE, forensics::EventKind::Offloaded);
-        self.femit(
-            r.arrival_s + ttft_s,
-            r.id,
-            forensics::NO_DEVICE,
-            forensics::EventKind::FirstToken,
-        );
-        self.femit(
-            r.arrival_s + latency_s,
-            r.id,
-            forensics::NO_DEVICE,
-            forensics::EventKind::Completed { output_tokens: r.output_tokens },
-        );
+        };
+        self.cloud.push((done, ep.edge_energy_j(r.input_tokens, r.output_tokens)));
+        self.mark(now, RouterMark::Offloaded { rid: r.id });
+    }
+}
+
+/// Feed `emit` the forensic lifecycle events router mark `mark` at `t_s`
+/// stands for: placement, hold, a hold-queue cancel, an outage edge, and
+/// an offload with the cloud's first token and completion (`offload` is
+/// that offload's completion). The other marks stand for none: a device's
+/// own log records its cancels and mode changes.
+fn lifecycle(
+    t_s: f64,
+    mark: RouterMark,
+    offload: Option<&Completion>,
+    emit: &mut impl FnMut(forensics::Event),
+) {
+    use forensics::{EventKind, NO_DEVICE, NO_RID};
+    let mut ev = |t_s, rid, device, kind| emit(forensics::Event { t_s, rid, device, kind });
+    match mark {
+        RouterMark::Routed { rid, device } => ev(t_s, rid, device as u32, EventKind::Routed),
+        RouterMark::Held { rid } => ev(t_s, rid, NO_DEVICE, EventKind::Held),
+        RouterMark::Cancelled { rid, device: None } => {
+            ev(t_s, rid, NO_DEVICE, EventKind::Cancelled)
+        }
+        RouterMark::DeviceDown { device, thermal } => {
+            ev(t_s, NO_RID, device as u32, EventKind::DeviceDown { thermal });
+        }
+        RouterMark::DeviceUp { device } => ev(t_s, NO_RID, device as u32, EventKind::DeviceUp),
+        RouterMark::Offloaded { rid } => {
+            let c = offload.expect("an offload's cloud completion");
+            ev(t_s, rid, NO_DEVICE, EventKind::Offloaded);
+            ev(c.arrival_s + c.ttft_s, rid, NO_DEVICE, EventKind::FirstToken);
+            let done = EventKind::Completed { output_tokens: c.output_tokens };
+            ev(c.arrival_s + c.latency_s, rid, NO_DEVICE, done);
+        }
+        RouterMark::Cancelled { device: Some(_), .. }
+        | RouterMark::Evacuated { .. }
+        | RouterMark::KvShrunk { .. }
+        | RouterMark::PowerFlipped { .. }
+        | RouterMark::GovernorStep { .. }
+        | RouterMark::ClockSkewed { .. } => {}
     }
 }
 
@@ -1178,7 +1189,7 @@ mod tests {
             .iter()
             .filter(|(_, m)| matches!(m, RouterMark::GovernorStep { device: 0, .. }))
             .count();
-        assert_eq!(logged, ga.decisions.len(), "every decision reconciled into the router log");
+        assert_eq!(logged, ga.decisions.len(), "every decision marked in the router log");
         assert_eq!(run().report, audit.report, "governed runs stay deterministic");
         // The rendered timeline carries the governor track alongside the
         // router's governor_step instants.

@@ -104,8 +104,7 @@ impl Governor {
         self.current
     }
 
-    /// Applied changes so far (grows during the run; the fleet
-    /// coordinator polls this to refresh routing estimates).
+    /// Applied changes so far (grows during the run).
     pub fn decisions(&self) -> &[ModeChange] {
         &self.decisions
     }
