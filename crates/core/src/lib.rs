@@ -55,6 +55,6 @@ pub use phase_split::{phase_split, PhaseSplit};
 pub use protocol::Protocol;
 pub use scheduler::{ServingReport, StaticBatcher};
 pub use serve::{
-    Completion, GovernorHook, GovernorObs, IterPhase, IterationTrace, NullGovernor, PrefillPolicy,
-    ServeAudit, ServeConfig, ServeRun, ServeSim, SpecConfig, TokenId,
+    Completion, GovernorHook, GovernorObs, IterPhase, IterationTrace, PrefillPolicy, ServeAudit,
+    ServeConfig, ServeRun, ServeSim, SpecConfig, TokenId,
 };

@@ -76,14 +76,3 @@ pub trait GovernorHook {
     /// Observe one boundary and optionally request a mode change.
     fn on_iteration(&mut self, obs: &GovernorObs<'_>) -> Option<PowerMode>;
 }
-
-/// A hook that never changes anything — the no-governor baseline, useful
-/// for exercising governed code paths without a controller.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullGovernor;
-
-impl GovernorHook for NullGovernor {
-    fn on_iteration(&mut self, _obs: &GovernorObs<'_>) -> Option<PowerMode> {
-        None
-    }
-}

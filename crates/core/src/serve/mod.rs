@@ -44,7 +44,7 @@ pub mod trace;
 
 pub use adapter::record_serve_run;
 pub use edgellm_mem::TokenId;
-pub use governor::{GovernorHook, GovernorObs, NullGovernor};
+pub use governor::{GovernorHook, GovernorObs};
 pub use scheduler::{
     PrefillPolicy, ServeConfig, ServeRun, SpecConfig, DEFAULT_CHUNK_TOKENS, KV_BLOCK_TOKENS,
 };

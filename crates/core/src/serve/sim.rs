@@ -1378,16 +1378,6 @@ impl ServeSim {
         self.kv_freed
     }
 
-    /// Whether this simulation serves with the radix prefix cache on.
-    pub fn prefix_cache_enabled(&self) -> bool {
-        self.cfg.prefix_cache
-    }
-
-    /// Whether this simulation decodes speculatively.
-    pub fn speculation_enabled(&self) -> bool {
-        self.cfg.spec.is_some()
-    }
-
     /// Speculation counters so far: `(drafted, accepted, rolled_back)`.
     /// `drafted == accepted + rolled_back` always; all zero with
     /// speculation off.
@@ -1758,7 +1748,6 @@ mod tests {
         let (dev, cfg) = setup();
         let reqs = PoissonArrivals::paper_shape(2.0).generate(10, 13);
         let sim = drain(ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap());
-        assert!(!sim.prefix_cache_enabled());
         assert_eq!(sim.kv_cache_hit_tokens(), 0);
         assert_eq!(sim.kv_blocks_cow(), 0);
         assert_eq!(sim.kv_cached_blocks(), 0);

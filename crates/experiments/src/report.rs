@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use edgellm_trace::chrome::json_str;
+
 /// A pass/fail shape check against a paper claim.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Check {
@@ -181,27 +183,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escape and quote a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a simulated-vs-paper cell as "sim (paper)".

@@ -95,11 +95,6 @@ impl PagedKv {
         self
     }
 
-    /// Whether prefix sharing is on.
-    pub fn prefix_enabled(&self) -> bool {
-        self.radix.is_some()
-    }
-
     /// Register a new sequence (no blocks yet).
     pub fn register(&mut self, id: SeqId) {
         self.seqs.entry(id).or_insert_with(|| SeqKv { blocks: Vec::new(), used: 0 });
