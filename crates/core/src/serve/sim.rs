@@ -509,11 +509,14 @@ impl ServeSim {
         forensics::flight::record(ev);
     }
 
-    /// Pro-rate one iteration's energy `e` over the `(rid, tokens)`
-    /// weights of the sequences it served. The last share takes the
-    /// exact remainder, so the pieces always sum to `e` and the ledger
-    /// `Σ per-request + idle == energy_j` reconciles to well under 1e-9.
-    fn split_energy(&mut self, e: f64, bill: &[(u64, u64)]) {
+    /// Bill one iteration's energy `e` to the integral and pro-rate it
+    /// over the `(rid, tokens)` weights of the sequences it served (an
+    /// idle gap, serving none, goes to the idle ledger). The last share
+    /// takes the exact remainder, so the pieces always sum to `e` and the
+    /// ledger `Σ per-request + idle == energy_j` reconciles to well under
+    /// 1e-9.
+    fn bill_energy(&mut self, e: f64, bill: &[(u64, u64)]) {
+        self.energy_j += e;
         let w_total: u64 = bill.iter().map(|&(_, w)| w).sum();
         if w_total == 0 {
             self.idle_energy_j += e;
@@ -695,8 +698,7 @@ impl ServeSim {
     pub fn idle_to(&mut self, now: f64) {
         if self.live.is_empty() && now > self.t {
             let dt = now - self.t;
-            self.energy_j += self.op.idle_power * dt;
-            self.idle_energy_j += self.op.idle_power * dt;
+            self.bill_energy(self.op.idle_power * dt, &[]);
             self.t = now;
             self.record(dt, IterPhase::Idle, 0, 0, 0, (self.op.idle_power, self.op.idle_rails));
         }
@@ -733,19 +735,15 @@ impl ServeSim {
             // Watermark gate: the *uncached* part of the prompt plus the
             // first decode token must have room, or admission waits for
             // blocks to free. Planning against the radix cache evicts
-            // cold cached blocks (never the matched path) as needed;
-            // with the cache off the plan is the bare block count —
-            // bit-identical to the flat pre-cache accounting.
+            // cold cached blocks (never the matched path) as needed.
+            // With the cache off the ids stay empty, the plan is the bare
+            // block count, and admitting and caching the prompt reduce to
+            // registering the sequence.
             let prompt_ids =
-                if self.cfg.prefix_cache { Some(self.prompt_tokens_for(&job)) } else { None };
-            let mut need = match &prompt_ids {
-                Some(ids) => {
-                    let plan = self.kv.plan_admission(ids, job.prompt_tokens + 1);
-                    self.kv_freed += plan.evicted as u64;
-                    plan.need_blocks
-                }
-                None => ((job.prompt_tokens + 1).div_ceil(KV_BLOCK_TOKENS)) as usize,
-            };
+                if self.cfg.prefix_cache { self.prompt_tokens_for(&job) } else { Vec::new() };
+            let plan = self.kv.plan_admission(&prompt_ids, job.prompt_tokens + 1);
+            self.kv_freed += plan.evicted as u64;
+            let mut need = plan.need_blocks;
             if need > self.kv.free_blocks() && self.live.is_empty() && self.kv.cached_blocks() > 0 {
                 // Quiescent shortage with a populated cache: the plan
                 // already evicted everything off the matched path, and
@@ -769,17 +767,9 @@ impl ServeSim {
             self.pending.pop_front();
             let id = self.next_id;
             self.next_id += 1;
-            let hit = match &prompt_ids {
-                Some(ids) => {
-                    let out = self.kv.admit(id, ids);
-                    self.kv_allocated += out.new_blocks as u64;
-                    out.hit_tokens
-                }
-                None => {
-                    self.kv.register(id);
-                    0
-                }
-            };
+            let admitted = self.kv.admit(id, &prompt_ids);
+            self.kv_allocated += admitted.new_blocks as u64;
+            let hit = admitted.hit_tokens;
             self.femit(self.t, job.rid, forensics::EventKind::Admitted { cache_hit_tokens: hit });
             match self.cfg.prefill {
                 PrefillPolicy::Blocking => {
@@ -799,10 +789,9 @@ impl ServeSim {
                         let rb =
                             self.op.rail_power(self.op.perf.prefill_utilization(1, suffix.max(1)));
                         let p = rb.total_w();
-                        self.energy_j += p * dt;
                         // A solo stall serves exactly one request: its
                         // whole integral is that request's energy.
-                        *self.req_energy.entry(job.rid).or_insert(0.0) += p * dt;
+                        self.bill_energy(p * dt, &[(job.rid, 1)]);
                         job.ttft_s = Some(self.t - job.arrival_s);
                         self.femit(
                             self.t,
@@ -812,9 +801,7 @@ impl ServeSim {
                         self.femit(self.t, job.rid, forensics::EventKind::FirstToken);
                         self.record(dt, IterPhase::Prefill, 0, 1, suffix, (p, rb));
                     }
-                    if let Some(ids) = &prompt_ids {
-                        self.kv.insert_prompt(id, ids);
-                    }
+                    self.kv.insert_prompt(id, &prompt_ids);
                     let gen_base = job.output_total - job.output_remaining;
                     self.live.push(Live { id, job, prompt_done: job.prompt_tokens, gen_base });
                 }
@@ -1078,7 +1065,6 @@ impl ServeSim {
                 ((p_dec * wd + p_pre * wp) / dt, blend)
             }
         };
-        self.energy_j += power_w * dt;
         // Attribute the iteration's integral token-proportionally: every
         // verify row per decoding sequence — the committed token plus all
         // drafts, *including* rejected ones, because the compute and KV
@@ -1088,7 +1074,7 @@ impl ServeSim {
         let bill = &mut sc.bill;
         bill.extend(plans.iter().map(|&(i, k_eff, _)| (self.live[i].job.rid, 1 + k_eff)));
         bill.extend(chunk_bill.iter().copied());
-        self.split_energy(power_w * dt, bill);
+        self.bill_energy(power_w * dt, bill);
 
         let mut i = 0;
         while i < self.live.len() {
