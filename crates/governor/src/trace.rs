@@ -46,13 +46,13 @@ pub fn record_governor(out: &mut Trace, pid: u32, audit: &GovernorAudit, start_s
 
 /// Record a still-live governed serve run — the scheduler/KV/rail
 /// timeline via the serve adapter plus the governor tracks — as one
-/// process. The one-stop shop for experiments that drive
-/// [`ServeSim::step_governed`] directly (and therefore never reach the
-/// trace sink's automatic `finish()` recording).
+/// process named `"<label> [governed]"`. The one-stop shop for
+/// experiments that drive [`ServeSim::step_governed`] directly (and so
+/// never reach the trace sink recording in [`ServeSim::run`]).
 pub fn record_governed_run(out: &mut Trace, sim: &ServeSim, governor: &Governor) -> u32 {
     let pid = out.next_pid();
-    out.set_process_name(pid, format!("{} [governed]", sim.label()));
-    record_serve_run(out, pid, sim.label(), sim.trace(), &sim.preemption_events());
+    let name = format!("{} [governed]", sim.label());
+    record_serve_run(out, pid, &name, sim.trace(), &sim.preemption_events());
     let start_s = sim.trace().first().map(|it| it.t_s - it.dt_s).unwrap_or(0.0);
     record_governor(out, pid, &governor.audit(), start_s, sim.now());
     pid
@@ -80,5 +80,28 @@ mod tests {
         assert_eq!(out.len(), 4, "one instant + three counter samples");
         let json = out.to_chrome_json();
         validate_chrome_trace(&json).expect("valid trace-event JSON");
+    }
+
+    #[test]
+    fn governed_run_names_its_process_governed() {
+        use crate::policy::{HystereticLadder, SloSpec};
+        use edgellm_core::serve::ServeConfig;
+        use edgellm_core::{PoissonArrivals, RunConfig};
+        use edgellm_hw::DeviceSpec;
+        use edgellm_models::{Llm, Precision};
+        let dev = DeviceSpec::orin_agx_64gb();
+        let cfg = RunConfig::new(Llm::Llama31_8b, Precision::Fp16);
+        let reqs = PoissonArrivals::paper_shape(1.0).generate(4, 3);
+        let mut sim = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap();
+        let policy = Box::new(HystereticLadder::new(SloSpec { ttft_s: 10.0, tbt_s: 0.5 }));
+        let mut gov = Governor::new(policy, &dev, cfg.llm, cfg.precision, &cfg.power_mode);
+        while let Some(t) = sim.next_event_s() {
+            sim.step_governed(t, &mut gov).unwrap();
+        }
+        let mut out = Trace::new();
+        record_governed_run(&mut out, &sim, &gov);
+        let json = out.to_chrome_json();
+        let name = format!("\"{} [governed]\"", sim.label());
+        assert!(json.contains(&name), "process not named {name}");
     }
 }
