@@ -161,13 +161,6 @@ fn fleet_artifacts(threads: usize, build: fn() -> FleetSim) -> (FleetReport, Str
     })
 }
 
-/// [`fleet_artifacts`] of the bursty governed fleet, with the report
-/// reduced to its energy.
-fn governed_fleet_artifacts(threads: usize) -> (f64, String, String) {
-    let (report, export, dump) = fleet_artifacts(threads, governed_fleet);
-    (report.energy_j, export, dump)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -258,7 +251,8 @@ fn fleet_log_and_energy(sim: FleetSim) -> (ForensicsLog, f64) {
 #[test]
 fn bursty_governed_fleet_blames_every_ttft_outlier() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (report_energy_j, export, _dump) = governed_fleet_artifacts(1);
+    let (report, export, _dump) = fleet_artifacts(1, governed_fleet);
+    let report_energy_j = report.energy_j;
     let docs = forensics::parse_forensics(&export).expect("export parses");
     let stats = forensics::validate_forensics(&export).expect("export is schema-valid");
     assert_eq!(stats.runs, 1);
@@ -300,54 +294,61 @@ fn fnv1a(s: &str) -> u64 {
 /// Forensic exports and flight dumps are byte-identical across
 /// `EDGELLM_THREADS` — same bytes at 1, 2 and 8 workers — and match the
 /// digests pinned at the last intended change to simulated behaviour
-/// (re-pin from the failure message).
+/// (re-pin from the failure message). Besides the governed fleet, the
+/// inputs cover the fleet's cloud path (offloads with their cloud first
+/// token and completion) and its hold path (requests held while every
+/// device is down, a cancel in the hold queue).
 #[test]
 fn forensic_artifacts_are_byte_identical_across_thread_counts() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (energy, export, dump) = governed_fleet_artifacts(THREAD_COUNTS[0]);
-    assert!(!dump.is_empty());
-    for &t in &THREAD_COUNTS[1..] {
-        let (e, x, d) = governed_fleet_artifacts(t);
-        assert_eq!(energy.to_bits(), e.to_bits(), "report energy diverges at {t} threads");
-        assert_eq!(export, x, "forensics export diverges at {t} threads");
-        assert_eq!(dump, d, "flight dump diverges at {t} threads");
-    }
-    for (what, text, pinned) in [
-        ("export", &export, 0x31b1_bfa8_35b9_7e50u64),
-        ("flight dump", &dump, 0x5d76_4704_1049_75b0),
-    ] {
-        let got = fnv1a(text);
-        assert_eq!(
-            got, pinned,
-            "forensics {what} digest is now {got:#018x}, pinned {pinned:#018x}"
-        );
-    }
-}
-
-/// The fleet's cloud and hold paths — offloads with their cloud first
-/// token and completion, requests held while every device is down, a
-/// cancel in the hold queue — pinned like the governed fleet's
-/// artifacts (re-pin from the failure message).
-#[test]
-fn cloud_and_hold_forensic_artifacts_are_pinned() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (report, export, dump) = fleet_artifacts(1, cloud_fleet);
-    assert!(report.offloaded > 0 && report.completed == 40, "{report:?}");
-    assert!(dump.contains(" offloaded"), "cloud events dumped");
-    let pins = [
-        ("cloud export", &export, 0xb87c_549b_aca0_dfb5u64),
-        ("cloud flight dump", &dump, 0xfdfd_f15f_62bc_9f96),
+    type Build = fn() -> FleetSim;
+    let inputs: [(&str, Build, &[&str], u64, u64); 3] = [
+        (
+            "governed",
+            governed_fleet,
+            &[" mode_change"],
+            0x31b1_bfa8_35b9_7e50,
+            0x5d76_4704_1049_75b0,
+        ),
+        (
+            "cloud",
+            cloud_fleet,
+            &[" offloaded", " first_token"],
+            0xb87c_549b_aca0_dfb5,
+            0xfdfd_f15f_62bc_9f96,
+        ),
+        (
+            "hold",
+            held_fleet,
+            &[" held", " cancelled"],
+            0xdf6c_4a1c_fc14_a53a,
+            0x7058_b875_975f_77ec,
+        ),
     ];
-    let (report, held_export, held_dump) = fleet_artifacts(1, held_fleet);
-    assert_eq!((report.cancelled, report.lost, report.completed), (2, 0, 18), "{report:?}");
-    assert!(held_dump.contains(" held") && held_dump.contains(" cancelled"), "hold events dumped");
-    let held_pins = [
-        ("hold export", &held_export, 0xdf6c_4a1c_fc14_a53au64),
-        ("hold flight dump", &held_dump, 0x7058_b875_975f_77ec),
-    ];
-    for (what, text, pinned) in pins.into_iter().chain(held_pins) {
-        let got = fnv1a(text);
-        assert_eq!(got, pinned, "{what} digest is now {got:#018x}, pinned {pinned:#018x}");
+    for (name, build, kinds, export_pin, dump_pin) in inputs {
+        let (report, export, dump) = fleet_artifacts(THREAD_COUNTS[0], build);
+        for kind in kinds {
+            assert!(dump.contains(kind), "{name}: no{kind} event in the flight dump");
+        }
+        for &t in &THREAD_COUNTS[1..] {
+            let (r, x, d) = fleet_artifacts(t, build);
+            assert_eq!(
+                report.energy_j.to_bits(),
+                r.energy_j.to_bits(),
+                "{name}: report energy diverges at {t} threads"
+            );
+            assert_eq!(export, x, "{name}: forensics export diverges at {t} threads");
+            assert_eq!(dump, d, "{name}: flight dump diverges at {t} threads");
+        }
+        for (what, text, pinned) in
+            [("export", &export, export_pin), ("flight dump", &dump, dump_pin)]
+        {
+            let got = fnv1a(text);
+            assert_eq!(
+                got, pinned,
+                "{name}: forensics {what} digest is now {got:#018x}, pinned {pinned:#018x}"
+            );
+        }
     }
 }
 
