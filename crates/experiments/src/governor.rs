@@ -146,8 +146,8 @@ fn serve(
         }
         .expect("stock modes validate on their own device");
     }
-    // These sims stay live for trace export instead of going through
-    // `finish()`, so mirror its forensics hook here: every served
+    // These sims stay live for trace export instead of being consumed by
+    // `ServeSim::run`, so mirror its forensics hook here: every served
     // configuration contributes a run document when collection is on.
     if edgellm_trace::forensics::sink::enabled() {
         edgellm_trace::forensics::sink::record(edgellm_trace::forensics::reconstruct(

@@ -2,7 +2,7 @@
 //!
 //! The sink is how *existing* entry points grow tracing without changing
 //! their signatures: when enabled, instrumented subsystems
-//! (`ServeSim::finish`, `FleetSim::run`) append their timelines to the
+//! (`ServeSim::run`, `FleetSim::run`) append their timelines to the
 //! sink as they complete, and the driver (the `edgellm` CLI's
 //! `--trace-out`, the `EDGELLM_TRACE` env fallback) exports the merged
 //! [`Trace`] at exit. Disabled — the default — every hook is one relaxed
