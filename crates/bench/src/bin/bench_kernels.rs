@@ -19,8 +19,9 @@
 //! fused-vs-dequant speedups (dequant ns / fused ns, per shape and
 //! precision) against a committed baseline and exits non-zero when any
 //! shared shape regresses by more than `--tolerance` (default 0.25,
-//! i.e. 25%), or when `int8_fused` is slower than `int8_dequant` (serial)
-//! at any shape of this run; the INT4 ordering is printed, not gated. The
+//! i.e. 25%), or when `int8_fused` or `int4_fused` is slower than its
+//! dequant reference (serial) at any shape of this run; the f16 ordering
+//! is printed, not gated. The
 //! parallel-speedup comparison is skipped — with a message — when either
 //! side's `parallel_valid` is false: a single-core host time-slices
 //! everything and its parallel timings are too noisy to gate on.
@@ -156,9 +157,9 @@ fn render_trace(records: &[Record]) -> Trace {
 }
 
 /// Precisions whose fused kernel must be at least as fast as
-/// dequantize-then-dot, serial, at every shape of a run. The INT4 and f16
-/// orderings are printed, not gated.
-const FUSED_MUST_WIN: &[&str] = &["int8"];
+/// dequantize-then-dot, serial, at every shape of a run. The f16 ordering
+/// is printed, not gated.
+const FUSED_MUST_WIN: &[&str] = &["int4", "int8"];
 
 /// Serial fused-vs-dequant speedups (`dequant_ns / fused_ns`) keyed by
 /// `shape/precision`, e.g. `phi2_decode/int4`. Sorted for stable output.
@@ -403,7 +404,7 @@ fn main() {
         bench_shape("phi2_prefill32", 32, 2560, 10240, iters, &mut records);
         // Verify-batch shapes: speculative decoding scores 1+k draft rows
         // in one pass, so the decode GEMV becomes a skinny GEMM at
-        // m = 2/4/8 — shapes the INT8 fused-vs-dequant gate must cover.
+        // m = 2/4/8 — shapes the INT8/INT4 fused-vs-dequant gate must cover.
         bench_shape("phi2_verify2", 2, 2560, 10240, iters, &mut records);
         bench_shape("phi2_verify4", 4, 2560, 10240, iters, &mut records);
         bench_shape("phi2_verify8", 8, 2560, 10240, iters, &mut records);
@@ -500,21 +501,26 @@ mod tests {
     }
 
     #[test]
-    fn int8_fused_must_not_lose_to_dequant_but_int4_may() {
-        let base = BASELINE.replace("int4_", "int8_");
-        let int8 = |fused_ns, dequant_ns| {
+    fn quantized_fused_must_not_lose_to_dequant_but_f16_may() {
+        // The fixture's INT4 pair, renamed to `precision`.
+        let at = |precision: &str, fused_ns, dequant_ns| {
             let mut recs = fresh(fused_ns, dequant_ns);
             for r in &mut recs {
-                r.kernel = r.kernel.replace("int4_", "int8_");
+                r.kernel = r.kernel.replace("int4_", precision);
             }
-            recs
+            (BASELINE.replace("int4_", precision), recs)
         };
         // A 0.9 tolerance puts the speedup floor at 0.3x against the
         // 3.0x baseline, so only the ordering can fail here.
-        assert_eq!(check_against(&base, &int8(240, 300), 0.9, false).unwrap(), 0);
-        assert_eq!(check_against(&base, &int8(310, 300), 0.9, false).unwrap(), 1);
-        // The same ordering at INT4 is reported, not counted.
-        assert_eq!(check_against(BASELINE, &fresh(310, 300), 0.9, false).unwrap(), 0);
+        for precision in ["int8_", "int4_"] {
+            let (base, recs) = at(precision, 240, 300);
+            assert_eq!(check_against(&base, &recs, 0.9, false).unwrap(), 0, "{precision}");
+            let (base, recs) = at(precision, 310, 300);
+            assert_eq!(check_against(&base, &recs, 0.9, false).unwrap(), 1, "{precision}");
+        }
+        // The same ordering at f16 is reported, not counted.
+        let (base, recs) = at("f16_", 310, 300);
+        assert_eq!(check_against(&base, &recs, 0.9, false).unwrap(), 0);
     }
 
     #[test]
@@ -561,7 +567,7 @@ mod tests {
         let verify_shapes = base.entries.iter().filter(|(s, ..)| s.contains("_verify")).count();
         assert!(
             verify_shapes >= 6,
-            "verify-batch shapes (m=2/4/8 at both decode dims) must stay pinned for the INT8 fused-vs-dequant gate"
+            "verify-batch shapes (m=2/4/8 at both decode dims) must stay pinned for the INT8/INT4 fused-vs-dequant gate"
         );
     }
 }

@@ -30,17 +30,26 @@ pub struct Request {
 /// has no place in that order. Returns the longest request shape (prompt
 /// plus output tokens), which sizes a simulator's activation reserve.
 pub fn check_trace(requests: &[Request]) -> Result<u64, RunError> {
-    if let Some(r) = requests.iter().find(|r| !r.arrival_s.is_finite()) {
-        return Err(RunError::InvalidConfig(format!(
-            "request {} arrives at non-finite time {}",
-            r.id, r.arrival_s
-        )));
-    }
+    requests.iter().try_for_each(check_arrival)?;
     requests
         .iter()
         .map(|r| r.input_tokens + r.output_tokens)
         .max()
         .ok_or_else(|| RunError::InvalidConfig("no requests".into()))
+}
+
+/// Check one request's arrival time is finite — the rule
+/// [`check_trace`] applies to a whole trace, for a request submitted on
+/// its own.
+pub fn check_arrival(r: &Request) -> Result<(), RunError> {
+    if r.arrival_s.is_finite() {
+        Ok(())
+    } else {
+        Err(RunError::InvalidConfig(format!(
+            "request {} arrives at non-finite time {}",
+            r.id, r.arrival_s
+        )))
+    }
 }
 
 /// A Poisson arrival process with uniform token-count jitter around a base

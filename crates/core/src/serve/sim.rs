@@ -222,11 +222,13 @@ pub struct ServeSim {
     usable: u64,
     block_bytes: u64,
     kv: PagedKv,
-    /// Prompt token ids, keyed by request id. Only populated when the
-    /// prefix cache is on and the caller provided real token ids via
-    /// [`ServeSim::submit_with_prompt`]; positions past the provided
-    /// prefix (and every position of plain [`ServeSim::submit`]
-    /// requests) get deterministic per-request synthetic ids.
+    /// Prompt token ids, keyed by request id; only kept with the prefix
+    /// cache on. An entry starts as the ids the caller provided via
+    /// [`ServeSim::submit_with_prompt`] (or empty) and is padded with
+    /// deterministic per-request synthetic ids out to the prompt's
+    /// length when admission first plans it, and again when recompute
+    /// grows the prompt (see [`ServeSim::prompt_ids`]). It leaves on
+    /// completion, cancel and drain.
     prompts: IdMap<u64, Vec<TokenId>>,
     /// Queued jobs, sorted by `(arrival_s, rid)`.
     pending: VecDeque<Job>,
@@ -389,8 +391,8 @@ impl ServeSim {
         let mut sim = Self::with_seq_hint(cfg, device, run_cfg, max_sl)?;
         for r in requests {
             match prompts.get(&r.id) {
-                Some(p) => sim.submit_with_prompt(r, p),
-                None => sim.submit(r),
+                Some(p) => sim.submit_with_prompt(r, p)?,
+                None => sim.submit(r)?,
             }
         }
         Ok(sim)
@@ -574,9 +576,10 @@ impl ServeSim {
 
     /// Queue a request. Ordering is by `(arrival_s, id)` so equal-time
     /// arrivals schedule identically regardless of submission order.
-    /// `r.arrival_s` must be finite (the constructors reject traces that
-    /// are not).
-    pub fn submit(&mut self, r: &Request) {
+    /// Errors with [`RunError::InvalidConfig`], queueing nothing, when
+    /// `r.arrival_s` is not finite.
+    pub fn submit(&mut self, r: &Request) -> Result<(), RunError> {
+        arrivals::check_arrival(r)?;
         let job = Job::from_request(r);
         self.enqueue(job);
         self.submitted += 1;
@@ -584,6 +587,7 @@ impl ServeSim {
         // construction (clock 0) for future instants, fleet re-routes
         // submit at the shared now.
         self.femit(job.arrival_s.max(self.t), job.rid, forensics::EventKind::Submitted);
+        Ok(())
     }
 
     /// Queue a request together with its prompt token ids. The ids feed
@@ -592,13 +596,14 @@ impl ServeSim {
     /// it. A prompt shorter than `input_tokens` is padded with the
     /// synthetic per-request ids plain [`ServeSim::submit`] would use;
     /// a longer one is truncated. With the prefix cache off this is
-    /// exactly [`ServeSim::submit`].
-    pub fn submit_with_prompt(&mut self, r: &Request, prompt: &[TokenId]) {
+    /// exactly [`ServeSim::submit`], and it errors the same way.
+    pub fn submit_with_prompt(&mut self, r: &Request, prompt: &[TokenId]) -> Result<(), RunError> {
+        self.submit(r)?;
         if self.cfg.prefix_cache {
             let n = (r.input_tokens as usize).min(prompt.len());
             self.prompts.insert(r.id, prompt[..n].to_vec());
         }
-        self.submit(r);
+        Ok(())
     }
 
     /// Deterministic synthetic token id for position `pos` of request
@@ -648,17 +653,14 @@ impl ServeSim {
     /// The token ids a job's current prompt prefills: the submitted
     /// prompt prefix (when one was provided), padded out to
     /// `prompt_tokens` — which includes recompute-grown generated
-    /// tokens — with synthetic ids.
-    fn prompt_tokens_for(&self, job: &Job) -> Vec<TokenId> {
+    /// tokens — with synthetic ids. The padding is written into the
+    /// job's `prompts` entry, so each id is built once per request.
+    fn prompt_ids<'a>(prompts: &'a mut IdMap<u64, Vec<TokenId>>, job: &Job) -> &'a [TokenId] {
         let n = job.prompt_tokens as usize;
-        let mut ids = Vec::with_capacity(n);
-        if let Some(p) = self.prompts.get(&job.rid) {
-            ids.extend_from_slice(&p[..p.len().min(n)]);
-        }
-        for pos in ids.len() as u64..n as u64 {
-            ids.push(Self::synth_token(job.rid, pos));
-        }
-        ids
+        let ids = prompts.entry(job.rid).or_default();
+        let built = ids.len() as u64;
+        ids.extend((built..n as u64).map(|pos| Self::synth_token(job.rid, pos)));
+        &ids[..n]
     }
 
     /// Current simulation clock (s).
@@ -736,12 +738,12 @@ impl ServeSim {
             // first decode token must have room, or admission waits for
             // blocks to free. Planning against the radix cache evicts
             // cold cached blocks (never the matched path) as needed.
-            // With the cache off the ids stay empty, the plan is the bare
-            // block count, and admitting and caching the prompt reduce to
-            // registering the sequence.
+            // With the cache off no ids are built, the plan is the bare
+            // block count, and admitting reduces to registering the
+            // sequence.
             let prompt_ids =
-                if self.cfg.prefix_cache { self.prompt_tokens_for(&job) } else { Vec::new() };
-            let plan = self.kv.plan_admission(&prompt_ids, job.prompt_tokens + 1);
+                if self.cfg.prefix_cache { Self::prompt_ids(&mut self.prompts, &job) } else { &[] };
+            let plan = self.kv.plan_admission(prompt_ids, job.prompt_tokens + 1);
             self.kv_freed += plan.evicted as u64;
             let mut need = plan.need_blocks;
             if need > self.kv.free_blocks() && self.live.is_empty() && self.kv.cached_blocks() > 0 {
@@ -767,7 +769,7 @@ impl ServeSim {
             self.pending.pop_front();
             let id = self.next_id;
             self.next_id += 1;
-            let admitted = self.kv.admit(id, &prompt_ids);
+            let admitted = self.kv.admit(id, prompt_ids);
             self.kv_allocated += admitted.new_blocks as u64;
             let hit = admitted.hit_tokens;
             self.femit(self.t, job.rid, forensics::EventKind::Admitted { cache_hit_tokens: hit });
@@ -801,7 +803,9 @@ impl ServeSim {
                         self.femit(self.t, job.rid, forensics::EventKind::FirstToken);
                         self.record(dt, IterPhase::Prefill, 0, 1, suffix, (p, rb));
                     }
-                    self.kv.insert_prompt(id, &prompt_ids);
+                    if self.cfg.prefix_cache {
+                        self.kv.insert_prompt(id, Self::prompt_ids(&mut self.prompts, &job));
+                    }
                     let gen_base = job.output_total - job.output_remaining;
                     self.live.push(Live { id, job, prompt_done: job.prompt_tokens, gen_base });
                 }
@@ -837,15 +841,16 @@ impl ServeSim {
                     need += self.kv.blocks_needed(s.id, grow).expect("live seq registered");
                 }
             }
-            if need <= self.kv.free_blocks() {
-                break;
-            }
             // Cold cached blocks go first — dropping a cache entry only
             // costs a possible future re-prefill, while preempting a
-            // live sequence costs a certain one.
-            if self.kv.evict_one_cached() {
+            // live sequence costs a certain one. Evicting a cache-only
+            // block changes no live sequence's demand, so one sum serves
+            // every eviction of the round.
+            while need > self.kv.free_blocks() && self.kv.evict_one_cached() {
                 self.kv_freed += 1;
-                continue;
+            }
+            if need <= self.kv.free_blocks() {
+                break;
             }
             if self.spec_k_iter > 0 {
                 self.spec_k_iter -= 1;
@@ -1026,10 +1031,8 @@ impl ServeSim {
         // (Must precede the completion sweep — it invalidates indices.)
         if self.cfg.prefix_cache {
             for &i in finished_prefill.iter() {
-                let job = self.live[i].job;
-                let id = self.live[i].id;
-                let ids = self.prompt_tokens_for(&job);
-                self.kv.insert_prompt(id, &ids);
+                let Live { id, job, .. } = self.live[i];
+                self.kv.insert_prompt(id, Self::prompt_ids(&mut self.prompts, &job));
             }
         }
 
@@ -1575,14 +1578,14 @@ mod tests {
             // Feed every arrival that precedes the device's next event.
             let horizon = inc.next_event_s();
             while queued < reqs.len() && horizon.is_none_or(|h| reqs[queued].arrival_s <= h) {
-                inc.submit(&reqs[queued]);
+                inc.submit(&reqs[queued]).unwrap();
                 queued += 1;
             }
             match inc.next_event_s() {
                 Some(now) => inc.step(now).unwrap(),
                 None if queued == reqs.len() => break,
                 None => {
-                    inc.submit(&reqs[queued]);
+                    inc.submit(&reqs[queued]).unwrap();
                     queued += 1;
                 }
             }
@@ -1754,7 +1757,7 @@ mod tests {
         let mut sim = ServeSim::with_seq_hint(cfg_serve, dev, cfg, max_sl).unwrap();
         let prompt: Vec<TokenId> = (0..128).map(|i| 70_000 + i).collect();
         for r in &reqs {
-            sim.submit_with_prompt(r, &prompt);
+            sim.submit_with_prompt(r, &prompt).unwrap();
         }
         sim
     }
@@ -1831,8 +1834,8 @@ mod tests {
         for t in &mut fork[20..] {
             *t += 9_999; // diverges 4 tokens into the second block
         }
-        sim.submit_with_prompt(&reqs[0], &base);
-        sim.submit_with_prompt(&reqs[1], &fork);
+        sim.submit_with_prompt(&reqs[0], &base).unwrap();
+        sim.submit_with_prompt(&reqs[1], &fork).unwrap();
         let sim = drain(sim);
         assert_eq!(sim.completions().len(), 2);
         assert_eq!(sim.kv_cache_hit_tokens(), 20, "16 shared + 4 copied");
@@ -2319,6 +2322,29 @@ mod tests {
             let err = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap_err();
             assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn submit_rejects_non_finite_arrival_times() {
+        let (dev, cfg) = setup();
+        let serve = ServeConfig::chunked(16).with_prefix_cache();
+        let mut sim = ServeSim::with_seq_hint(serve, &dev, &cfg, 64).unwrap();
+        let ok = Request { id: 0, arrival_s: 0.5, input_tokens: 32, output_tokens: 8 };
+        sim.submit(&ok).unwrap();
+        for (rid, bad) in [(1, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)] {
+            let r = Request { id: rid, arrival_s: bad, input_tokens: 32, output_tokens: 8 };
+            let err = sim.submit(&r).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+            let err = sim.submit_with_prompt(&r, &[7; 32]).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+            assert!(!sim.prompts.contains_key(&rid), "a rejected request keeps no prompt ids");
+        }
+        assert_eq!(sim.submitted(), 1, "nothing rejected was queued");
+        // The calls that a queued NaN arrival used to break still work.
+        let mut drained = sim.clone();
+        assert_eq!(drained.drain_incomplete(), vec![ok]);
+        let run = sim.run().unwrap();
+        assert_eq!(run.report.requests, 1);
     }
 
     #[test]

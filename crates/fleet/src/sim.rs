@@ -846,6 +846,7 @@ impl FleetSim {
             Some(p) => d.sim.submit_with_prompt(r, p),
             None => d.sim.submit(r),
         }
+        .expect("arrival times checked at construction");
     }
 
     fn cloud_complete(&mut self, r: Request, now: f64) {

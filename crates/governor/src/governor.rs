@@ -58,7 +58,6 @@ pub struct Governor {
     policy: Box<dyn GovernorPolicy>,
     ladder: ModeLadder,
     current: usize,
-    min_dwell_s: f64,
     last_change_s: f64,
     decisions: Vec<ModeChange>,
 }
@@ -82,16 +81,9 @@ impl Governor {
             policy,
             ladder,
             current,
-            min_dwell_s: DEFAULT_MIN_DWELL_S,
             last_change_s: f64::NEG_INFINITY,
             decisions: Vec::new(),
         }
-    }
-
-    /// Override the dwell floor.
-    pub fn min_dwell(mut self, min_dwell_s: f64) -> Self {
-        self.min_dwell_s = min_dwell_s;
-        self
     }
 
     /// The ladder this governor steps on.
@@ -134,7 +126,7 @@ impl Governor {
         }
         GovernorAudit {
             policy: self.policy.name().to_string(),
-            min_dwell_s: self.min_dwell_s,
+            min_dwell_s: DEFAULT_MIN_DWELL_S,
             rung_names: self.ladder.rungs().iter().map(|r| r.mode.name.clone()).collect(),
             initial: self.decisions.first().map(|d| d.from).unwrap_or(self.current),
             decisions: self.decisions.clone(),
@@ -147,7 +139,7 @@ impl GovernorHook for Governor {
     fn on_iteration(&mut self, obs: &GovernorObs<'_>) -> Option<PowerMode> {
         let want = self.policy.decide(obs, &self.ladder, self.current)?;
         let want = want.min(self.ladder.len().saturating_sub(1));
-        if want == self.current || obs.now_s - self.last_change_s < self.min_dwell_s {
+        if want == self.current || obs.now_s - self.last_change_s < DEFAULT_MIN_DWELL_S {
             return None;
         }
         self.decisions.push(ModeChange {
@@ -178,7 +170,6 @@ mod tests {
             Precision::Fp16,
             &maxn,
         )
-        .min_dwell(1.0)
     }
 
     fn idle_obs(now_s: f64) -> GovernorObs<'static> {
@@ -198,22 +189,25 @@ mod tests {
 
     #[test]
     fn dwell_window_suppresses_flapping() {
+        let dwell = DEFAULT_MIN_DWELL_S;
         let mut g = governor();
         let top = g.current();
         assert!(g.on_iteration(&idle_obs(0.0)).is_some(), "idle steps down immediately");
         assert_eq!(g.current(), top - 1);
         // Inside the dwell window the same comfort signal is ignored.
-        assert!(g.on_iteration(&idle_obs(0.5)).is_none());
+        assert!(g.on_iteration(&idle_obs(dwell / 2.0)).is_none());
+        assert!(g.on_iteration(&idle_obs(dwell * 0.999)).is_none());
         assert_eq!(g.current(), top - 1);
-        // Past the window it steps again.
-        assert!(g.on_iteration(&idle_obs(1.0)).is_some());
+        // Once the window has elapsed it steps again.
+        assert!(g.on_iteration(&idle_obs(dwell)).is_some());
         assert_eq!(g.current(), top - 2);
         let audit = g.audit();
+        assert_eq!(audit.min_dwell_s, dwell);
         assert_eq!(audit.decisions.len(), 2);
         assert_eq!(audit.initial, top);
         assert_eq!(audit.rung_at(-1.0), top);
-        assert_eq!(audit.rung_at(0.2), top - 1);
-        assert_eq!(audit.rung_at(2.0), top - 2);
+        assert_eq!(audit.rung_at(dwell / 2.0), top - 1);
+        assert_eq!(audit.rung_at(2.0 * dwell), top - 2);
         crate::verify::verify_min_dwell(&audit).expect("wrapper enforces its own dwell");
     }
 }

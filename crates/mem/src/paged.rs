@@ -112,21 +112,17 @@ impl PagedKv {
         let Some(radix) = &mut self.radix else {
             return AdmitPlan { need_blocks: total_need, ..AdmitPlan::default() };
         };
+        // One walk serves the whole plan: evicting a leaf off the matched
+        // path cannot change the match.
+        let (m, path) = radix.lookup_with_path(tokens);
+        let need = total_need.saturating_sub(m.blocks.len());
         let mut evicted = 0;
-        loop {
-            let (m, path) = radix.lookup_with_path(tokens);
-            let need = total_need.saturating_sub(m.blocks.len());
-            if need <= self.pool.free_blocks() {
-                return AdmitPlan { need_blocks: need, hit_tokens: m.hit_tokens, evicted };
-            }
-            if radix.evict_lru_excluding(&mut self.pool, &path) {
-                evicted += 1;
-                continue;
-            }
-            // Nothing evictable outside the matched path; report the
-            // shortage and let the scheduler wait or preempt.
-            return AdmitPlan { need_blocks: need, hit_tokens: m.hit_tokens, evicted };
+        while need > self.pool.free_blocks() && radix.evict_lru_excluding(&mut self.pool, &path) {
+            evicted += 1;
         }
+        // A remaining shortage (nothing evictable off the path) is the
+        // scheduler's to wait out or preempt.
+        AdmitPlan { need_blocks: need, hit_tokens: m.hit_tokens, evicted }
     }
 
     /// Admit a sequence with its prompt: share fully-matched cached

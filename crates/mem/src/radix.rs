@@ -22,6 +22,15 @@
 //! use-after-free (the `edgellm-check` block-refcount oracle guards
 //! exactly this). `last_use` is a logical tick bumped per lookup, not
 //! wall time, so eviction order is bit-reproducible across hosts.
+//!
+//! The candidates live in a leaf index, an ordered set of `(last_use,
+//! node id)` over every live childless node, kept in step wherever a
+//! stamp or a child list changes. An eviction walks it from the coldest
+//! entry and takes the first leaf the cache alone holds and the caller
+//! did not exclude: the same node a scan of the whole slab would pick,
+//! found in O(log n) plus the few leaves live sequences still share.
+
+use std::collections::BTreeSet;
 
 use crate::block_pool::BlockPool;
 
@@ -66,6 +75,9 @@ pub struct RadixCache {
     free_nodes: Vec<usize>,
     /// Children of the (implicit, empty) root.
     root_children: Vec<usize>,
+    /// `(last_use, node)` of every live childless node: the eviction
+    /// candidates, coldest first.
+    leaves: BTreeSet<(u64, usize)>,
     /// Logical clock for LRU ordering.
     tick: u64,
     live_nodes: usize,
@@ -79,6 +91,7 @@ impl RadixCache {
             nodes: Vec::new(),
             free_nodes: Vec::new(),
             root_children: Vec::new(),
+            leaves: BTreeSet::new(),
             tick: 0,
             live_nodes: 0,
         }
@@ -133,12 +146,7 @@ impl RadixCache {
     /// Match a prompt, bumping recency on the matched path (this *is*
     /// a use: admission consumes the result).
     pub fn lookup(&mut self, tokens: &[TokenId]) -> PrefixMatch {
-        let (m, path) = self.walk(tokens);
-        self.tick += 1;
-        for n in path {
-            self.nodes[n].last_use = self.tick;
-        }
-        m
+        self.lookup_with_path(tokens).0
     }
 
     /// [`RadixCache::lookup`], additionally returning the matched path's
@@ -148,9 +156,19 @@ impl RadixCache {
         let (m, path) = self.walk(tokens);
         self.tick += 1;
         for &n in &path {
-            self.nodes[n].last_use = self.tick;
+            self.stamp(n, self.tick);
         }
         (m, path)
+    }
+
+    /// Mark node `n` used at `tick`, moving its leaf-index entry along.
+    fn stamp(&mut self, n: usize, tick: u64) {
+        let node = &mut self.nodes[n];
+        if node.children.is_empty() {
+            self.leaves.remove(&(node.last_use, n));
+            self.leaves.insert((tick, n));
+        }
+        node.last_use = tick;
     }
 
     /// Read-only match (no recency bump) — for routing probes that
@@ -196,7 +214,7 @@ impl RadixCache {
             let found = children.iter().copied().find(|&c| self.nodes[c].tokens == chunk);
             match found {
                 Some(c) => {
-                    self.nodes[c].last_use = tick;
+                    self.stamp(c, tick);
                     parent = Some(c);
                 }
                 None => {
@@ -211,8 +229,15 @@ impl RadixCache {
                     });
                     match parent {
                         None => self.root_children.push(id),
-                        Some(p) => self.nodes[p].children.push(id),
+                        Some(p) => {
+                            // The parent stops being a leaf.
+                            if self.nodes[p].children.is_empty() {
+                                self.leaves.remove(&(self.nodes[p].last_use, p));
+                            }
+                            self.nodes[p].children.push(id);
+                        }
                     }
+                    self.leaves.insert((tick, id));
                     parent = Some(id);
                     inserted += 1;
                 }
@@ -232,24 +257,21 @@ impl RadixCache {
     /// admission planner shields the path it just matched so making
     /// room can never consume its own hit.
     pub fn evict_lru_excluding(&mut self, pool: &mut BlockPool, exclude: &[usize]) -> bool {
-        let mut best: Option<(u64, u64)> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.live
-                && n.children.is_empty()
-                && pool.refcount(n.block) == 1
-                && !exclude.contains(&i)
-            {
-                let key = (n.last_use, i as u64);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        let Some((_, i)) = best.map(|(_, i)| ((), i as usize)) else { return false };
+        let pick = self.pick_lru(pool, exclude);
+        #[cfg(debug_assertions)]
+        assert_eq!(pick, self.scan_lru(pool, exclude), "leaf index disagrees with a scan");
+        let Some(i) = pick else { return false };
+        self.leaves.remove(&(self.nodes[i].last_use, i));
         let (block, parent) = (self.nodes[i].block, self.nodes[i].parent);
         match parent {
             None => self.root_children.retain(|&c| c != i),
-            Some(p) => self.nodes[p].children.retain(|&c| c != i),
+            Some(p) => {
+                self.nodes[p].children.retain(|&c| c != i);
+                // The parent becomes a leaf again.
+                if self.nodes[p].children.is_empty() {
+                    self.leaves.insert((self.nodes[p].last_use, p));
+                }
+            }
         }
         self.nodes[i].live = false;
         self.nodes[i].children = Vec::new();
@@ -260,14 +282,30 @@ impl RadixCache {
         true
     }
 
-    /// Evict until the pool has at least `need_free` free blocks (or
-    /// nothing evictable remains). Returns blocks evicted.
-    pub fn evict_until(&mut self, pool: &mut BlockPool, need_free: usize) -> usize {
-        let mut evicted = 0;
-        while pool.free_blocks() < need_free && self.evict_lru(pool) {
-            evicted += 1;
-        }
-        evicted
+    /// The coldest indexed leaf the cache alone holds, outside `exclude`.
+    fn pick_lru(&self, pool: &BlockPool, exclude: &[usize]) -> Option<usize> {
+        self.leaves
+            .iter()
+            .map(|&(_, i)| i)
+            .find(|&i| pool.refcount(self.nodes[i].block) == 1 && !exclude.contains(&i))
+    }
+
+    /// [`RadixCache::pick_lru`] by a scan of the whole node slab, minimal
+    /// in `(last_use, node id)` — the reference debug builds check the
+    /// leaf index against on every eviction.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_lru(&self, pool: &BlockPool, exclude: &[usize]) -> Option<usize> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| {
+                n.live
+                    && n.children.is_empty()
+                    && pool.refcount(n.block) == 1
+                    && !exclude.contains(&i)
+            })
+            .min_by_key(|&(i, n)| (n.last_use, i))
+            .map(|(i, _)| i)
     }
 
     /// Drop every cached block (e.g. on drain), returning them to the
@@ -314,6 +352,19 @@ impl RadixCache {
             if !self.nodes[c].live || self.nodes[c].parent.is_some() {
                 bad.push(format!("root child {c} link broken"));
             }
+        }
+        let leaves: BTreeSet<(u64, usize)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.live && n.children.is_empty())
+            .map(|(i, n)| (n.last_use, i))
+            .collect();
+        for &(t, i) in self.leaves.difference(&leaves) {
+            bad.push(format!("leaf index holds node {i} at tick {t}, not a leaf there"));
+        }
+        for &(t, i) in leaves.difference(&self.leaves) {
+            bad.push(format!("leaf node {i} (last use {t}) missing from the leaf index"));
         }
         bad
     }
@@ -415,6 +466,103 @@ mod tests {
         let m = c.probe(&[1, 2, 9, 9]);
         // Tie at 2 tokens → lowest node id (first inserted).
         assert_eq!(m.hit_tokens, 2);
+    }
+
+    /// A xorshift64 stream: the randomized drill needs no seeded crate.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        /// A prompt over a three-id alphabet, so prompts share prefixes.
+        fn prompt(&mut self) -> Vec<TokenId> {
+            let len = 4 * (1 + self.below(4)) + self.below(4);
+            (0..len).map(|_| self.below(3) as TokenId).collect()
+        }
+    }
+
+    #[test]
+    fn leaf_index_picks_what_the_scan_picks() {
+        let (mut evictions, mut skipped_shared) = (0, 0);
+        for seed in 1..=24u64 {
+            let mut rng = Xorshift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let (mut c, mut p) = (RadixCache::new(4), BlockPool::new(48 * 4 * 1024, 4, 1024));
+            // Each live sequence's own block references.
+            let mut seqs: Vec<Vec<usize>> = Vec::new();
+            for _ in 0..300 {
+                match rng.below(6) {
+                    0 | 1 => {
+                        let tokens = rng.prompt();
+                        let n = tokens.len().div_ceil(4);
+                        if p.free_blocks() >= n {
+                            let blocks: Vec<usize> = (0..n).map(|_| p.alloc().unwrap()).collect();
+                            c.insert(&tokens, &blocks, &mut p);
+                            seqs.push(blocks);
+                        }
+                    }
+                    2 => {
+                        c.lookup(&rng.prompt());
+                    }
+                    3 if !seqs.is_empty() => {
+                        let i = rng.below(seqs.len());
+                        for b in seqs.swap_remove(i) {
+                            p.unref(b);
+                        }
+                    }
+                    _ => {
+                        let exclude = match rng.below(3) {
+                            0 => Vec::new(),
+                            1 => c.lookup_with_path(&rng.prompt()).1,
+                            _ => (0..4).map(|_| rng.below(c.nodes.len().max(1))).collect(),
+                        };
+                        let want = c.scan_lru(&p, &exclude);
+                        assert_eq!(c.pick_lru(&p, &exclude), want, "seed {seed}");
+                        let coldest = c.leaves.first().map(|&(_, i)| i);
+                        if want.is_some() && want != coldest {
+                            skipped_shared += 1;
+                        }
+                        let free = p.free_blocks();
+                        assert_eq!(c.evict_lru_excluding(&mut p, &exclude), want.is_some());
+                        if want.is_some() {
+                            evictions += 1;
+                            assert_eq!(p.free_blocks(), free + 1, "the cache held the block alone");
+                        }
+                    }
+                }
+                assert!(c.verify(&p).is_empty(), "seed {seed}: {:?}", c.verify(&p));
+            }
+        }
+        assert!(evictions > 500, "the drill evicts ({evictions})");
+        assert!(
+            skipped_shared > 50,
+            "the drill skips shared or excluded leaves ({skipped_shared})"
+        );
+    }
+
+    #[test]
+    fn verify_flags_a_leaf_index_out_of_step() {
+        let (mut c, mut p) = (RadixCache::new(4), pool());
+        seed(&mut c, &mut p, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(c.verify(&p).is_empty());
+        let (tick, leaf) = c.leaves.pop_first().unwrap();
+        let bad = c.verify(&p);
+        assert!(bad.iter().any(|m| m.contains("missing from the leaf index")), "{bad:?}");
+        // A stale stamp is both a missing entry and a foreign one.
+        c.leaves.insert((tick + 1, leaf));
+        assert_eq!(c.verify(&p).len(), 2);
+        c.leaves.insert((tick, leaf));
+        c.leaves.remove(&(tick + 1, leaf));
+        assert!(c.verify(&p).is_empty());
+        // The chain's first node has a child: it is no eviction candidate.
+        let inner = c.nodes[leaf].parent.unwrap();
+        c.leaves.insert((c.nodes[inner].last_use, inner));
+        let bad = c.verify(&p);
+        assert!(bad.iter().any(|m| m.contains("not a leaf")), "{bad:?}");
     }
 
     #[test]
