@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use edgellm_hw::DeviceSpec;
-use edgellm_mem::{ActivationCalib, KvBlockAllocator, MemoryModel};
+use edgellm_mem::{ActivationCalib, MemoryModel, PagedKv};
 use edgellm_models::{Llm, Precision};
 use edgellm_perf::{ModelCalib, PerfModel};
 use edgellm_tensor::{matmul::matmul_nt, Matrix, QInt8Matrix};
@@ -91,7 +91,7 @@ fn ablate_kv_paging(c: &mut Criterion) {
     let pool: u64 = 8 << 30;
     let max_ctx = 1024u64;
     let contiguous_fit = pool / (max_ctx * bytes_per_token);
-    let mut paged = KvBlockAllocator::new(pool, 16, bytes_per_token);
+    let mut paged = PagedKv::new(pool, 16, bytes_per_token);
     let mut paged_fit = 0u32;
     loop {
         paged.register(paged_fit);
@@ -100,15 +100,18 @@ fn ablate_kv_paging(c: &mut Criterion) {
         }
         paged_fit += 1;
     }
+    // Reserved-but-unused share of the held blocks.
+    let fragmentation =
+        1.0 - (paged_fit as u64 * 96 * bytes_per_token) as f64 / paged.reserved_bytes() as f64;
     println!(
         "[ablate_kv_paging] 8 GB KV pool, 96-token sequences: contiguous \
          (1024-token reservations) fits {contiguous_fit}, paged fits {paged_fit} \
          (fragmentation {:.1}%)",
-        paged.fragmentation() * 100.0
+        fragmentation * 100.0
     );
     c.bench_function("ablate_kv_paging/paged_append_96tok", |b| {
         b.iter(|| {
-            let mut a = KvBlockAllocator::new(1 << 26, 16, bytes_per_token);
+            let mut a = PagedKv::new(1 << 26, 16, bytes_per_token);
             a.register(0);
             a.append(0, 96).unwrap();
             black_box(a.reserved_bytes())

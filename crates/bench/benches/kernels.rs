@@ -62,11 +62,11 @@ fn bench_bpe(c: &mut Criterion) {
 }
 
 fn bench_kv_allocator(c: &mut Criterion) {
-    use edgellm_mem::KvBlockAllocator;
+    use edgellm_mem::PagedKv;
     c.bench_function("kv_alloc/register_append_release_32seq", |b| {
         b.iter(|| {
             // 32 seqs × 96 tokens need 192 two-MB blocks; give the pool 256.
-            let mut a = KvBlockAllocator::new(1 << 29, 16, 131_072);
+            let mut a = PagedKv::new(1 << 29, 16, 131_072);
             for s in 0..32 {
                 a.register(s);
                 a.append(s, 96).unwrap();

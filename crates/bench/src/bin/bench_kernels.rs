@@ -128,7 +128,7 @@ fn bench_shape(
 /// after a benchmark pass their presence is the ground truth (a plain
 /// `cfg!` here would only reflect *this* crate's features).
 fn kernel_instrumentation_live() -> bool {
-    edgellm_trace::registry().snapshot().counters.keys().any(|k| k.starts_with("kernel."))
+    edgellm_trace::registry().counter_names().iter().any(|k| k.starts_with("kernel."))
 }
 
 /// Render the best-of measurements as a synthetic timeline: spans laid

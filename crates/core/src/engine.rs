@@ -5,7 +5,7 @@ use crate::config::{Dataset, RunConfig};
 use crate::error::RunError;
 use crate::metrics::BatchMetrics;
 use edgellm_hw::DeviceSpec;
-use edgellm_mem::{KvBlockAllocator, MemTracker, MemoryModel, GB, OOM_HEADROOM_GB};
+use edgellm_mem::{MemTracker, MemoryModel, PagedKv, GB, OOM_HEADROOM_GB};
 use edgellm_perf::PerfModel;
 use edgellm_power::{
     median_power_w, sample_timeline, trapezoid_energy_j, LoadProfile, Phase, RailModel,
@@ -79,29 +79,26 @@ impl Engine {
         tracker.alloc(act).map_err(|_| oom(&tracker, act))?;
 
         let kv_per_token = cfg.llm.arch().kv_bytes_per_token();
-        let mut kv =
-            KvBlockAllocator::new(usable - tracker.in_use(), KV_BLOCK_TOKENS, kv_per_token);
+        let mut kv = PagedKv::new(usable - tracker.in_use(), KV_BLOCK_TOKENS, kv_per_token);
         for s in 0..bs as u32 {
             kv.register(s);
         }
         // Prefill fills n_in tokens per sequence, then decode appends one
         // token per sequence per step; the tracker sees reserved blocks.
         let mut reserved = 0u64;
-        let mut grow = |kv: &mut KvBlockAllocator,
-                        tracker: &mut MemTracker,
-                        tokens: u64|
-         -> Result<(), RunError> {
-            for s in 0..bs as u32 {
-                kv.append(s, tokens).map_err(|_| RunError::OutOfMemory {
-                    peak_gb: (tracker.in_use() + kv.reserved_bytes() - reserved) as f64 / GB,
-                    usable_gb: usable as f64 / GB,
-                })?;
-            }
-            let now = kv.reserved_bytes();
-            let delta = now - reserved;
-            reserved = now;
-            tracker.alloc(delta).map_err(|_| oom(tracker, delta))
-        };
+        let mut grow =
+            |kv: &mut PagedKv, tracker: &mut MemTracker, tokens: u64| -> Result<(), RunError> {
+                for s in 0..bs as u32 {
+                    kv.append(s, tokens).map_err(|_| RunError::OutOfMemory {
+                        peak_gb: (tracker.in_use() + kv.reserved_bytes() - reserved) as f64 / GB,
+                        usable_gb: usable as f64 / GB,
+                    })?;
+                }
+                let now = kv.reserved_bytes();
+                let delta = now - reserved;
+                reserved = now;
+                tracker.alloc(delta).map_err(|_| oom(tracker, delta))
+            };
         grow(&mut kv, &mut tracker, n_in)?;
 
         // ---- time walk ----
@@ -151,6 +148,10 @@ impl Engine {
         let median_power = median_power_w(&trace);
 
         let mid = perf.decode_utilization(bs, n_in + n_out / 2);
+        // Internal fragmentation: the reserved-but-unused share of the
+        // held blocks, with every sequence at its full length.
+        let kv_fragmentation =
+            1.0 - (bs * seq_total * kv_per_token) as f64 / kv.reserved_bytes() as f64;
         Ok(BatchMetrics {
             latency_s,
             throughput_tok_s: bs as f64 * seq_total as f64 / latency_s,
@@ -161,7 +162,7 @@ impl Engine {
             prefill_s,
             decode_s,
             gpu_util: mid.gpu,
-            kv_fragmentation: kv.fragmentation(),
+            kv_fragmentation,
         })
     }
 }

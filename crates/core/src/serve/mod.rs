@@ -9,9 +9,9 @@
 //!   fused with the decode batch so admissions do not stall live
 //!   sequences ([`PrefillPolicy`]);
 //! * **live KV accounting** — cache growth draws on a real
-//!   [`KvBlockAllocator`](edgellm_mem::KvBlockAllocator) pool; exhaustion
-//!   preempts the youngest sequence (free + re-queue with recompute)
-//!   instead of being worst-cased away at admission;
+//!   [`PagedKv`](edgellm_mem::PagedKv) block pool; exhaustion preempts the
+//!   youngest sequence (free + re-queue with recompute) instead of being
+//!   worst-cased away at admission;
 //! * **per-iteration energy** — every step (and idle gap) is billed
 //!   through the rail power model, emitting an [`IterationTrace`].
 //!

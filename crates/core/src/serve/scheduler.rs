@@ -14,8 +14,8 @@
 //!    admission a full solo prefill that stalls every live sequence
 //!    (HF-generate style), accumulated in
 //!    [`ContinuousReport::prefill_stall_s`].
-//! 2. **Live KV accounting**: every cached token is drawn from an
-//!    [`KvBlockAllocator`](edgellm_mem::KvBlockAllocator) pool sized from
+//! 2. **Live KV accounting**: every cached token is drawn from a
+//!    [`PagedKv`](edgellm_mem::PagedKv) block pool sized from
 //!    what the device has left after weights and an activation reserve —
 //!    not from a static worst-case concurrency clamp. When an iteration's
 //!    growth cannot be served, the youngest live sequence is preempted:

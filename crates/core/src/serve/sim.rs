@@ -55,7 +55,7 @@ use crate::serve::governor::{GovernorHook, GovernorObs};
 use crate::serve::scheduler::{PrefillPolicy, ServeConfig, ServeRun, KV_BLOCK_TOKENS};
 use crate::serve::trace::{IterPhase, IterationTrace};
 use edgellm_hw::{ClockState, DeviceSpec, PowerMode};
-use edgellm_mem::{IdMap, MemoryModel, PagedKv, TokenId, GB, OOM_HEADROOM_GB};
+use edgellm_mem::{IdMap, MemoryModel, PagedKv, PrefixMatch, TokenId, GB, OOM_HEADROOM_GB};
 use edgellm_perf::PerfModel;
 use edgellm_power::{LoadProfile, RailBreakdown, RailModel, RailPoint};
 use edgellm_trace::forensics::{self, ForensicsLog};
@@ -739,11 +739,11 @@ impl ServeSim {
             // blocks to free. Planning against the radix cache evicts
             // cold cached blocks (never the matched path) as needed.
             // With the cache off no ids are built, the plan is the bare
-            // block count, and admitting reduces to registering the
-            // sequence.
+            // block count with an empty match, and admitting reduces to
+            // registering the sequence.
             let prompt_ids =
                 if self.cfg.prefix_cache { Self::prompt_ids(&mut self.prompts, &job) } else { &[] };
-            let plan = self.kv.plan_admission(prompt_ids, job.prompt_tokens + 1);
+            let mut plan = self.kv.plan_admission(prompt_ids, job.prompt_tokens + 1);
             self.kv_freed += plan.evicted as u64;
             let mut need = plan.need_blocks;
             if need > self.kv.free_blocks() && self.live.is_empty() && self.kv.cached_blocks() > 0 {
@@ -751,9 +751,11 @@ impl ServeSim {
                 // already evicted everything off the matched path, and
                 // sacrificing matched nodes cannot help (each one freed
                 // is a block the prompt must immediately re-take). Drop
-                // the cache wholesale and fall back to bare accounting.
+                // the cache wholesale and admit cold: the match named
+                // blocks the clear just freed.
                 self.kv_freed += self.kv.clear_cache() as u64;
                 need = ((job.prompt_tokens + 1).div_ceil(KV_BLOCK_TOKENS)) as usize;
+                plan.matched = PrefixMatch::default();
             }
             if need > self.kv.free_blocks() {
                 if self.live.is_empty() {
@@ -769,7 +771,7 @@ impl ServeSim {
             self.pending.pop_front();
             let id = self.next_id;
             self.next_id += 1;
-            let admitted = self.kv.admit(id, prompt_ids);
+            let admitted = self.kv.admit(id, &plan);
             self.kv_allocated += admitted.new_blocks as u64;
             let hit = admitted.hit_tokens;
             self.femit(self.t, job.rid, forensics::EventKind::Admitted { cache_hit_tokens: hit });
@@ -1841,6 +1843,49 @@ mod tests {
         assert_eq!(sim.kv_cache_hit_tokens(), 20, "16 shared + 4 copied");
         assert_eq!(sim.kv_blocks_cow(), 1);
         assert!(sim.audit().kv_integrity.is_empty());
+    }
+
+    #[test]
+    fn quiescent_shortage_clears_the_cache_and_admits_cold() {
+        // A 9-block pool. The first request leaves its two full prompt
+        // blocks cached; the second shares 20 tokens with them (one full
+        // block and a 4-token partial) and needs all 9 blocks. Its plan
+        // keeps the matched path and comes up one block short with
+        // nothing live, so admission drops the cache and admits cold:
+        // the plan's match named blocks the clear just freed.
+        let (dev, cfg) = setup();
+        let pool = 144 * cfg.llm.arch().kv_bytes_per_token();
+        let serve = ServeConfig::chunked(16).kv_pool_cap(pool).with_prefix_cache();
+        let mut sim = ServeSim::with_seq_hint(serve, &dev, &cfg, 144).unwrap();
+        assert_eq!(sim.kv_total_blocks(), 9);
+        let first: Vec<TokenId> = (0..40).map(|i| 30_000 + i).collect();
+        let mut second: Vec<TokenId> = (0..140).map(|i| 30_000 + i).collect();
+        for t in &mut second[20..] {
+            *t += 9_999;
+        }
+        let req = |id, arrival_s, input_tokens, output_tokens| Request {
+            id,
+            arrival_s,
+            input_tokens,
+            output_tokens,
+        };
+        sim.submit_with_prompt(&req(0, 0.0, 40, 8), &first).unwrap();
+        sim.submit_with_prompt(&req(1, 60.0, 140, 3), &second).unwrap();
+        while sim.completions().is_empty() {
+            let now = sim.next_event_s().unwrap();
+            sim.step(now).unwrap();
+        }
+        assert_eq!(sim.kv_cached_blocks(), 2, "the first prompt's full blocks stay cached");
+        assert_eq!(sim.prefix_match_tokens(&second), 20);
+        let sim = drain(sim);
+        assert_eq!(sim.completions().len(), 2);
+        assert_eq!(sim.kv_cache_hit_tokens(), 0, "the second prompt was admitted cold");
+        let audit = sim.audit();
+        assert!(audit.kv_integrity.is_empty(), "{:?}", audit.kv_integrity);
+        assert_eq!(
+            audit.kv_blocks_allocated,
+            audit.kv_blocks_freed + audit.kv_blocks_cached as u64
+        );
     }
 
     #[test]

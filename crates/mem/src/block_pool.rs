@@ -1,8 +1,9 @@
 //! Refcounted fixed-size KV block pool.
 //!
-//! The storage substrate of the paged prefix cache: the pool hands out
-//! blocks of `block_tokens` cached tokens which can be *shared* between
-//! live sequences and the radix prefix cache through reference counts.
+//! The storage substrate of [`crate::PagedKv`]: the pool hands out
+//! blocks of `block_tokens` cached tokens, each held by one sequence or,
+//! with the prefix cache on, *shared* between live sequences and the
+//! radix prefix cache through reference counts.
 //! A block leaves the free list exactly once per `blocks_allocated`
 //! increment and returns to it when its last reference drops
 //! (`blocks_freed`), so the identity `allocated == freed + live` holds
@@ -13,11 +14,9 @@
 //!
 //! Determinism: the free list is a stack initialized `(0..total).rev()`
 //! and popped from the end, so block ids are granted in ascending order
-//! and a release/realloc cycle is reproducible — the same discipline as
-//! [`crate::kv::KvBlockAllocator`], which this pool supersedes for the
-//! prefix-cache path.
+//! and a release/realloc cycle is reproducible.
 
-use crate::kv::KvError;
+use crate::paged::KvError;
 
 /// Fixed pool of refcounted KV blocks.
 #[derive(Debug, Clone)]

@@ -11,21 +11,18 @@
 //! * [`tracker`] — a peak/incremental tracker equivalent to the paper's
 //!   "difference between the peak memory usage during the run and the base
 //!   memory usage before loading the model" (§2);
-//! * [`kv`] — a paged KV-cache allocator (block-granular, per-sequence)
-//!   with fragmentation statistics, used by the runtime and the paging
-//!   ablation bench;
-//! * [`block_pool`] / [`radix`] / [`paged`] — the prefix-sharing
-//!   generation of that allocator: refcounted fixed-size blocks
-//!   ([`BlockPool`]), a radix-tree prompt-prefix cache with
-//!   deterministic LRU eviction ([`RadixCache`]), and the [`PagedKv`]
-//!   facade the serve scheduler drives (vLLM/SGLang-style paged
-//!   attention accounting, simulation-first);
+//! * [`block_pool`] / [`radix`] / [`paged`] — the paged KV-cache
+//!   allocator: refcounted fixed-size blocks ([`BlockPool`]), an
+//!   optional radix-tree prompt-prefix cache with deterministic LRU
+//!   eviction ([`RadixCache`]), and the [`PagedKv`] facade the batching
+//!   engine, the serve scheduler and the paging ablation bench drive
+//!   (vLLM/SGLang-style paged attention accounting, simulation-first;
+//!   with the prefix cache off it is a flat block-granular allocator);
 //! * [`idmap`] — the integer-keyed hash map those per-sequence and
 //!   per-request tables use.
 
 pub mod block_pool;
 pub mod idmap;
-pub mod kv;
 pub mod layout;
 pub mod paged;
 pub mod radix;
@@ -33,9 +30,8 @@ pub mod tracker;
 
 pub use block_pool::BlockPool;
 pub use idmap::{IdHasher, IdMap};
-pub use kv::{KvBlockAllocator, KvError, SeqId};
 pub use layout::{ActivationCalib, MemoryModel, OOM_HEADROOM_GB};
-pub use paged::{AdmitOutcome, AdmitPlan, PagedKv};
+pub use paged::{AdmitOutcome, AdmitPlan, KvError, PagedKv, SeqId};
 pub use radix::{PrefixMatch, RadixCache, TokenId};
 pub use tracker::{MemTracker, OomError};
 

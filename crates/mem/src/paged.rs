@@ -1,13 +1,13 @@
-//! Paged KV with prefix sharing: the serve layer's allocator facade.
+//! Paged KV with optional prefix sharing: the workspace's one KV
+//! allocator.
 //!
 //! [`PagedKv`] combines a refcounted [`BlockPool`] with an optional
-//! [`RadixCache`] behind the same per-sequence surface as
-//! [`crate::kv::KvBlockAllocator`] (`register` / `blocks_needed` /
-//! `append` / `release` / `shrink_to`), so a scheduler can swap it in
-//! without changing its admission logic. With the prefix cache
-//! *disabled* (the default) every operation is arithmetic-identical to
-//! the flat allocator: one holder per block, blocks granted in
-//! ascending id order, no sharing.
+//! [`RadixCache`] behind a per-sequence surface (`register` /
+//! `blocks_needed` / `append` / `release` / `shrink_to`). With the
+//! prefix cache *disabled* (the default) it is a flat block-granular
+//! allocator: one holder per block, blocks granted in ascending id
+//! order, no sharing. The batching engine and the serve scheduler both
+//! size their KV pools through it.
 //!
 //! With the prefix cache enabled:
 //!
@@ -15,9 +15,9 @@
 //!   tree (bumping recency — planning *is* a use), evicting cold
 //!   cached blocks as needed to make room for the uncached remainder,
 //!   and reports how many fresh blocks admission would take;
-//! * [`PagedKv::admit`] consumes that match: fully-matched blocks are
-//!   shared (refcount +1, zero prefill owed), a trailing partial match
-//!   is taken by copy-on-write ([`BlockPool::cow_from`]);
+//! * [`PagedKv::admit`] consumes the plan's match: fully-matched blocks
+//!   are shared (refcount +1, zero prefill owed), a trailing partial
+//!   match is taken by copy-on-write ([`BlockPool::cow_from`]);
 //! * [`PagedKv::insert_prompt`] caches a finished prompt's full blocks
 //!   so later prompts can hit them;
 //! * [`PagedKv::release`] drops the sequence's references — blocks the
@@ -31,10 +31,41 @@
 //! cross-checks every block's refcount against its holders (sequences
 //! plus the cache) — the `edgellm-check` block-refcount oracle.
 
+use std::fmt;
+
 use crate::block_pool::BlockPool;
 use crate::idmap::IdMap;
-use crate::kv::{KvError, SeqId};
-use crate::radix::{RadixCache, TokenId};
+use crate::radix::{PrefixMatch, RadixCache, TokenId};
+
+/// Identifies one sequence in a batch.
+pub type SeqId = u32;
+
+/// Allocation failures.
+#[derive(Debug, Clone, PartialEq)]
+pub enum KvError {
+    /// No free blocks remain.
+    OutOfBlocks {
+        /// Blocks requested.
+        requested: usize,
+        /// Blocks free.
+        free: usize,
+    },
+    /// The sequence id is not registered.
+    UnknownSeq(SeqId),
+}
+
+impl fmt::Display for KvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KvError::OutOfBlocks { requested, free } => {
+                write!(f, "KV cache exhausted: need {requested} blocks, {free} free")
+            }
+            KvError::UnknownSeq(id) => write!(f, "unknown sequence {id}"),
+        }
+    }
+}
+
+impl std::error::Error for KvError {}
 
 /// One sequence's block list and token fill.
 #[derive(Debug, Clone)]
@@ -56,15 +87,17 @@ pub struct AdmitOutcome {
     pub new_blocks: usize,
 }
 
-/// A pre-admission capacity plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A pre-admission capacity plan, carrying the prefix match that
+/// [`PagedKv::admit`] consumes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmitPlan {
     /// Fresh blocks admission (prompt + one decode token) would take.
     pub need_blocks: usize,
-    /// Prompt tokens the cache would cover.
-    pub hit_tokens: u64,
     /// Cold cached blocks evicted while planning.
     pub evicted: usize,
+    /// The prompt's match against the radix tree (empty with the cache
+    /// disabled).
+    pub matched: PrefixMatch,
 }
 
 /// Block-paged KV allocator with optional radix prefix sharing.
@@ -105,7 +138,10 @@ impl PagedKv {
     /// Matches the cache (bumping recency) and evicts cold cached
     /// blocks — never the matched path — until the uncached remainder
     /// fits or nothing evictable is left. The caller compares
-    /// `need_blocks` against [`PagedKv::free_blocks`] to wait / OOM.
+    /// `need_blocks` against [`PagedKv::free_blocks`] to wait / OOM, and
+    /// admits with the plan while the match still stands: evicting only
+    /// off the matched path keeps it valid, dropping the whole cache does
+    /// not.
     pub fn plan_admission(&mut self, tokens: &[TokenId], total_tokens: u64) -> AdmitPlan {
         let bt = self.pool.block_tokens();
         let total_need = total_tokens.div_ceil(bt) as usize;
@@ -114,29 +150,25 @@ impl PagedKv {
         };
         // One walk serves the whole plan: evicting a leaf off the matched
         // path cannot change the match.
-        let (m, path) = radix.lookup_with_path(tokens);
-        let need = total_need.saturating_sub(m.blocks.len());
+        let (matched, path) = radix.lookup_with_path(tokens);
+        let need = total_need.saturating_sub(matched.blocks.len());
         let mut evicted = 0;
         while need > self.pool.free_blocks() && radix.evict_lru_excluding(&mut self.pool, &path) {
             evicted += 1;
         }
         // A remaining shortage (nothing evictable off the path) is the
         // scheduler's to wait out or preempt.
-        AdmitPlan { need_blocks: need, hit_tokens: m.hit_tokens, evicted }
+        AdmitPlan { need_blocks: need, evicted, matched }
     }
 
-    /// Admit a sequence with its prompt: share fully-matched cached
-    /// blocks, take a trailing partial match by copy-on-write. Capacity
-    /// for the COW copy must have been secured via
-    /// [`PagedKv::plan_admission`]; when the pool is dry anyway the
-    /// partial hit is forgone rather than failing. With the cache
-    /// disabled this is exactly [`PagedKv::register`].
-    pub fn admit(&mut self, id: SeqId, tokens: &[TokenId]) -> AdmitOutcome {
-        let Some(radix) = &mut self.radix else {
-            self.register(id);
-            return AdmitOutcome::default();
-        };
-        let m = radix.lookup(tokens);
+    /// Admit a sequence with the match its [`PagedKv::plan_admission`]
+    /// walked: share fully-matched cached blocks, take a trailing
+    /// partial match by copy-on-write. The plan also secured capacity
+    /// for the COW copy; when the pool is dry anyway the partial hit is
+    /// forgone rather than failing. An empty match (the cache disabled)
+    /// registers the sequence with no blocks.
+    pub fn admit(&mut self, id: SeqId, plan: &AdmitPlan) -> AdmitOutcome {
+        let m = &plan.matched;
         let bt = self.pool.block_tokens();
         let mut blocks = Vec::with_capacity(m.blocks.len() + 1);
         for &b in &m.blocks {
@@ -282,9 +314,12 @@ impl PagedKv {
         Ok(freed)
     }
 
-    /// Shrink the pool to `new_total` blocks, retiring free blocks
-    /// (same contract as [`crate::kv::KvBlockAllocator::shrink_to`];
-    /// evict / preempt first to get below the target).
+    /// Shrink the pool to `new_total` blocks, retiring free blocks —
+    /// a mid-run capacity loss (a co-tenant claiming memory, or a fault
+    /// injector's KV-shrink knob). Only free blocks can be retired: when
+    /// held blocks exceed `new_total` the call fails with
+    /// [`KvError::OutOfBlocks`] and nothing changes (evict / preempt
+    /// first). Growing is a no-op.
     pub fn shrink_to(&mut self, new_total: usize) -> Result<(), KvError> {
         self.pool.shrink_to(new_total)
     }
@@ -313,11 +348,6 @@ impl PagedKv {
     /// Bytes reserved (all held blocks, shared blocks once).
     pub fn reserved_bytes(&self) -> u64 {
         self.pool.used_blocks() as u64 * self.pool.block_tokens() * self.pool.bytes_per_token()
-    }
-
-    /// Live sequences.
-    pub fn live_seqs(&self) -> usize {
-        self.seqs.len()
     }
 
     /// Refcount + structure consistency check; one message per
@@ -374,18 +404,59 @@ mod tests {
         (0..n as u32).map(|i| seed.wrapping_mul(1_000_003).wrapping_add(i)).collect()
     }
 
+    /// Plan room for `tokens` and admit them as sequence `id`.
+    fn admit(p: &mut PagedKv, id: SeqId, tokens: &[TokenId]) -> AdmitOutcome {
+        let plan = p.plan_admission(tokens, tokens.len() as u64);
+        p.admit(id, &plan)
+    }
+
     #[test]
     fn disabled_cache_matches_flat_allocator_semantics() {
         let mut p = PagedKv::new(1 << 20, 16, 1024);
+        assert_eq!((p.total_blocks(), p.free_blocks()), (64, 64));
         p.register(1);
+        // A pure query: it predicts the append and takes nothing.
+        assert_eq!(p.blocks_needed(1, 17).unwrap(), 2);
+        assert_eq!(p.free_blocks(), 64);
+        assert_eq!(p.blocks_needed(9, 1), Err(KvError::UnknownSeq(9)));
         assert_eq!(p.append(1, 10).unwrap(), 1);
         assert_eq!(p.append(1, 6).unwrap(), 0);
         assert_eq!(p.append(1, 1).unwrap(), 1);
         assert_eq!(p.blocks_held(1), Some(2));
-        assert_eq!(p.admit(2, &toks(9, 32)), AdmitOutcome::default());
-        assert_eq!(p.plan_admission(&toks(9, 32), 33).need_blocks, 3);
+        assert_eq!(p.blocks_needed(1, 15).unwrap(), 0, "room in block 2");
+        assert_eq!(p.blocks_needed(1, 16).unwrap(), 1);
+        let plan = p.plan_admission(&toks(9, 32), 33);
+        assert_eq!(plan, AdmitPlan { need_blocks: 3, ..AdmitPlan::default() });
+        assert_eq!(p.admit(2, &plan), AdmitOutcome::default());
+        // Blocks are granted in ascending id order; a release pushes its
+        // blocks back in order, so the next grant pops its tail first.
+        p.append(2, 40).unwrap();
+        assert_eq!(
+            (p.seqs[&1].blocks.as_slice(), p.seqs[&2].blocks.as_slice()),
+            (&[0, 1][..], &[2, 3, 4][..])
+        );
+        assert_eq!(p.release(2).unwrap(), 3);
+        p.register(3);
+        p.append(3, 32).unwrap();
+        assert_eq!(p.seqs[&3].blocks, [4, 3]);
+        // An append that does not fit fails whole and takes no block.
+        let free = p.free_blocks();
+        let err = p.append(3, 16 * free as u64 + 1);
+        assert_eq!(err, Err(KvError::OutOfBlocks { requested: free + 1, free }));
+        assert_eq!((p.free_blocks(), p.blocks_held(3)), (free, Some(2)));
+        assert_eq!(p.blocks_needed(3, 16).unwrap(), 1, "the fill did not move");
+        assert_eq!(p.release(9), Err(KvError::UnknownSeq(9)));
+        // Shrinking below the live footprint fails and changes nothing;
+        // growing is a no-op.
+        p.shrink_to(10).unwrap();
+        assert_eq!((p.total_blocks(), p.free_blocks()), (10, 6));
+        assert_eq!(p.shrink_to(3), Err(KvError::OutOfBlocks { requested: 7, free: 6 }));
+        assert_eq!((p.total_blocks(), p.free_blocks()), (10, 6));
+        p.shrink_to(64).unwrap();
+        assert_eq!(p.total_blocks(), 10);
         assert_eq!(p.release(1).unwrap(), 2);
-        assert_eq!(p.free_blocks(), 64);
+        assert_eq!(p.release(3).unwrap(), 2);
+        assert_eq!(p.free_blocks(), 10);
         assert!(p.verify().is_empty());
     }
 
@@ -393,13 +464,13 @@ mod tests {
     fn warm_admission_shares_full_blocks() {
         let mut p = paged();
         let prompt = toks(1, 48); // 3 full blocks
-        assert_eq!(p.admit(0, &prompt).hit_tokens, 0, "cold");
+        assert_eq!(admit(&mut p, 0, &prompt).hit_tokens, 0, "cold");
         p.append(0, 48).unwrap();
         p.insert_prompt(0, &prompt);
         assert_eq!(p.cached_blocks(), 3);
         let used_before = p.used_blocks();
 
-        let out = p.admit(1, &prompt);
+        let out = admit(&mut p, 1, &prompt);
         assert_eq!(out.hit_tokens, 48, "warm hit covers the whole prompt");
         assert_eq!(out.new_blocks, 0, "sharing takes nothing from the pool");
         assert_eq!(p.used_blocks(), used_before, "no new blocks for the twin");
@@ -417,7 +488,7 @@ mod tests {
     fn divergence_inside_a_block_is_copy_on_write() {
         let mut p = paged();
         let a = toks(1, 32);
-        p.admit(0, &a);
+        admit(&mut p, 0, &a);
         p.append(0, 32).unwrap();
         p.insert_prompt(0, &a);
         p.release(0).unwrap();
@@ -427,7 +498,7 @@ mod tests {
         for t in &mut b[20..] {
             *t = t.wrapping_add(7_777);
         }
-        let out = p.admit(1, &b);
+        let out = admit(&mut p, 1, &b);
         assert_eq!(out.hit_tokens, 20, "16 shared + 4 copied");
         assert_eq!(out.new_blocks, 1, "the COW copy");
         assert_eq!(p.cow_events(), 1);
@@ -444,23 +515,23 @@ mod tests {
         let mut small = PagedKv::new(4 * 16 * 1024, 16, 1024).with_prefix_cache();
         assert_eq!(small.total_blocks(), 4);
         let hot = toks(1, 32);
-        small.admit(0, &hot);
+        admit(&mut small, 0, &hot);
         small.append(0, 32).unwrap();
         small.insert_prompt(0, &hot);
         small.release(0).unwrap();
         let cold = toks(2, 32);
-        small.admit(1, &cold);
+        admit(&mut small, 1, &cold);
         small.append(1, 32).unwrap();
         small.insert_prompt(1, &cold);
         small.release(1).unwrap();
         // Pool: 4 cached blocks, 0 free. Re-admitting `hot` (+1 decode
         // token) needs one fresh block → evict from `cold`, not `hot`.
         let plan = small.plan_admission(&hot, 33);
-        assert_eq!(plan.hit_tokens, 32, "match preserved");
+        assert_eq!(plan.matched.hit_tokens, 32, "match preserved");
         assert_eq!(plan.need_blocks, 1);
         assert!(plan.evicted >= 1);
         assert!(plan.need_blocks <= small.free_blocks());
-        let out = small.admit(2, &hot);
+        let out = small.admit(2, &plan);
         assert_eq!(out.hit_tokens, 32);
         small.append(2, 1).unwrap();
         assert!(small.verify().is_empty());
@@ -470,14 +541,14 @@ mod tests {
     fn release_then_rematch_is_block_granular_preemption() {
         let mut p = paged();
         let prompt = toks(3, 64);
-        p.admit(0, &prompt);
+        admit(&mut p, 0, &prompt);
         p.append(0, 64).unwrap();
         p.insert_prompt(0, &prompt);
         // Preempt: drop the sequence. The cache keeps all 4 blocks.
         p.release(0).unwrap();
         assert_eq!(p.used_blocks(), 4);
         // Re-admission hits the whole prompt: zero recompute.
-        let out = p.admit(1, &prompt);
+        let out = admit(&mut p, 1, &prompt);
         assert_eq!(out.hit_tokens, 64);
         assert_eq!(out.new_blocks, 0);
         assert!(p.verify().is_empty());
@@ -517,7 +588,7 @@ mod tests {
     fn truncate_is_cow_safe_under_prefix_sharing() {
         let mut p = paged();
         let prompt = toks(5, 32); // 2 full blocks
-        p.admit(0, &prompt);
+        admit(&mut p, 0, &prompt);
         p.append(0, 32).unwrap();
         p.insert_prompt(0, &prompt); // both blocks now cached (shared)
                                      // Speculate 20 tokens past the prompt: tokens 32..52, blocks 3–4.
@@ -543,7 +614,7 @@ mod tests {
     fn verify_catches_refcount_drift() {
         let mut p = paged();
         let prompt = toks(4, 16);
-        p.admit(0, &prompt);
+        admit(&mut p, 0, &prompt);
         p.append(0, 16).unwrap();
         assert!(p.verify().is_empty());
         // Simulate a drift: an extra phantom reference.

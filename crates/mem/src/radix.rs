@@ -144,14 +144,10 @@ impl RadixCache {
     }
 
     /// Match a prompt, bumping recency on the matched path (this *is*
-    /// a use: admission consumes the result).
-    pub fn lookup(&mut self, tokens: &[TokenId]) -> PrefixMatch {
-        self.lookup_with_path(tokens).0
-    }
-
-    /// [`RadixCache::lookup`], additionally returning the matched path's
-    /// node indices — the set an admission planner must shield from its
-    /// own make-room eviction ([`RadixCache::evict_lru_excluding`]).
+    /// a use: admission consumes the match). Also returns the matched
+    /// path's node indices — the set an admission planner must shield
+    /// from its own make-room eviction
+    /// ([`RadixCache::evict_lru_excluding`]).
     pub fn lookup_with_path(&mut self, tokens: &[TokenId]) -> (PrefixMatch, Vec<usize>) {
         let (m, path) = self.walk(tokens);
         self.tick += 1;
@@ -392,19 +388,19 @@ mod tests {
         seed(&mut c, &mut p, &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(c.cached_blocks(), 2);
 
-        let m = c.lookup(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let m = c.lookup_with_path(&[1, 2, 3, 4, 5, 6, 7, 8, 9]).0;
         assert_eq!(m.blocks.len(), 2);
         assert_eq!(m.hit_tokens, 8);
         assert_eq!(m.partial, None);
 
         // Diverges inside the second block → one full + one partial.
-        let m = c.lookup(&[1, 2, 3, 4, 5, 6, 99, 99]);
+        let m = c.lookup_with_path(&[1, 2, 3, 4, 5, 6, 99, 99]).0;
         assert_eq!(m.blocks.len(), 1);
         assert_eq!(m.partial.map(|(_, k)| k), Some(2));
         assert_eq!(m.hit_tokens, 6);
 
         // No shared prefix at all.
-        let m = c.lookup(&[9, 9, 9, 9]);
+        let m = c.lookup_with_path(&[9, 9, 9, 9]).0;
         assert_eq!(m.hit_tokens, 0);
     }
 
@@ -432,7 +428,7 @@ mod tests {
         assert_eq!(c.cached_blocks(), 3);
         // Touch chain A's first block; its leaf (never re-read) stays
         // coldest, then B, and A's root — freshly used — goes last.
-        c.lookup(&[1, 2, 3, 4]);
+        c.lookup_with_path(&[1, 2, 3, 4]);
         assert!(c.evict_lru(&mut p));
         assert_eq!(p.refcount(ba[1]), 0, "cold leaf first");
         assert!(c.evict_lru(&mut p));
@@ -506,7 +502,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        c.lookup(&rng.prompt());
+                        c.lookup_with_path(&rng.prompt());
                     }
                     3 if !seqs.is_empty() => {
                         let i = rng.below(seqs.len());

@@ -177,68 +177,12 @@ impl TinyCausalLm {
 
     /// Decode one token: append it to the cache and return next-token
     /// logits. This is the auto-regressive inner loop whose cost the
-    /// perf model simulates at device scale.
+    /// perf model simulates at device scale: [`Self::prefill`]'s layer
+    /// stack over a single row.
     pub fn forward_step(&self, token: u32, cache: &mut KvCache) -> Vec<f32> {
         #[cfg(feature = "trace")]
         let _span = edgellm_trace::span!("decode_step", "nn");
-        let cfg = &self.cfg;
-        let pos = cache.tokens;
-        let mut h = Matrix::from_vec(1, cfg.d_model, self.emb.row(token as usize).to_vec());
-
-        for (l, blk) in self.blocks.iter().enumerate() {
-            // --- attention ---
-            let mut xn = h.clone();
-            rmsnorm_rows(&mut xn, &blk.norm_attn, 1e-6);
-            let mut q = blk.wq.forward(&xn);
-            let mut k = blk.wk.forward(&xn);
-            let v = blk.wv.forward(&xn);
-            rope_inplace(q.row_mut(0), cfg.head_dim, pos, 10000.0);
-            rope_inplace(k.row_mut(0), cfg.head_dim, pos, 10000.0);
-            cache.k[l].extend_from_slice(k.row(0));
-            cache.v[l].extend_from_slice(v.row(0));
-
-            let ctx = pos + 1;
-            let group = cfg.heads / cfg.kv_heads;
-            let scale = 1.0 / (cfg.head_dim as f32).sqrt();
-            let mut attn_out = vec![0.0f32; cfg.q_dim()];
-            let mut scores = vec![0.0f32; ctx];
-            for head in 0..cfg.heads {
-                let kv_head = head / group;
-                let qh = &q.row(0)[head * cfg.head_dim..(head + 1) * cfg.head_dim];
-                for (t, s) in scores.iter_mut().enumerate() {
-                    let koff = t * cache.kv_dim + kv_head * cfg.head_dim;
-                    let kh = &cache.k[l][koff..koff + cfg.head_dim];
-                    *s = edgellm_tensor::matmul::dot(qh, kh) * scale;
-                }
-                softmax_inplace(&mut scores);
-                let oh = &mut attn_out[head * cfg.head_dim..(head + 1) * cfg.head_dim];
-                for (t, &w) in scores.iter().enumerate() {
-                    let voff = t * cache.kv_dim + kv_head * cfg.head_dim;
-                    let vh = &cache.v[l][voff..voff + cfg.head_dim];
-                    for (o, &x) in oh.iter_mut().zip(vh) {
-                        *o += w * x;
-                    }
-                }
-            }
-            let proj = blk.wo.forward(&Matrix::from_vec(1, cfg.q_dim(), attn_out));
-            edgellm_tensor::ops::add_inplace(h.row_mut(0), proj.row(0));
-
-            // --- SwiGLU MLP ---
-            let mut xn = h.clone();
-            rmsnorm_rows(&mut xn, &blk.norm_mlp, 1e-6);
-            let mut gate = blk.w_gate.forward(&xn);
-            silu_inplace(gate.as_mut_slice());
-            let up = blk.w_up.forward(&xn);
-            for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                *g *= u;
-            }
-            let down = blk.w_down.forward(&gate);
-            edgellm_tensor::ops::add_inplace(h.row_mut(0), down.row(0));
-        }
-        cache.tokens += 1;
-
-        rmsnorm_rows(&mut h, &self.final_norm, 1e-6);
-        self.lm_head.forward(&h).into_vec()
+        self.forward_rows(&[token], cache).into_vec()
     }
 
     /// Batched prefill: consume all of `tokens` in one pass and return the
@@ -256,11 +200,19 @@ impl TinyCausalLm {
     pub fn prefill(&self, tokens: &[u32], cache: &mut KvCache) -> Matrix {
         #[cfg(feature = "trace")]
         let _span = edgellm_trace::span!("prefill", "nn");
+        if tokens.is_empty() {
+            return Matrix::zeros(0, self.cfg.vocab);
+        }
+        self.forward_rows(tokens, cache)
+    }
+
+    /// The layer stack over `T = tokens.len() ≥ 1` rows: row `i` sits at
+    /// position `cache.len() + i`, appends its keys and values to every
+    /// layer's cache and attends causally over the cache through itself.
+    /// Returns the `(T × vocab)` logits.
+    fn forward_rows(&self, tokens: &[u32], cache: &mut KvCache) -> Matrix {
         let cfg = &self.cfg;
         let t = tokens.len();
-        if t == 0 {
-            return Matrix::zeros(0, cfg.vocab);
-        }
         let base = cache.tokens;
         let mut h = Matrix::zeros(t, cfg.d_model);
         for (i, &tok) in tokens.iter().enumerate() {
@@ -285,9 +237,9 @@ impl TinyCausalLm {
             let scale = 1.0 / (cfg.head_dim as f32).sqrt();
             let mut attn = Matrix::zeros(t, cfg.q_dim());
             // Each token's causal attention (over its own prefix only) is
-            // independent — parallelize across the batch. Per-token math is
-            // exactly the forward_step loop, so partitioning cannot change
-            // the bits.
+            // independent — parallelize across the rows. The per-row math
+            // does not depend on the partition, so neither do the bits; a
+            // single row (decode) is one part and runs inline.
             let (kl, vl) = (&cache.k[l], &cache.v[l]);
             let kv_dim = cache.kv_dim;
             attn.as_mut_slice().par_chunks_mut(cfg.q_dim()).enumerate().for_each(|(i, arow)| {
@@ -486,7 +438,9 @@ mod tests {
     #[test]
     fn prefill_is_bitwise_equal_to_stepping() {
         // The load-bearing equivalence: batched prefill and token-by-token
-        // decode must agree to the bit, at every precision.
+        // decode must agree to the bit, at every precision. Both run one
+        // layer stack, so this pins the kernels: T rows at once and one
+        // row at a time give the same bits.
         let base_model = TinyCausalLm::new(TinyConfig::small(11));
         let tokens = [3u32, 200, 17, 91, 4, 55, 120];
         for prec in [

@@ -33,22 +33,19 @@ pub fn timer(variant: &'static str, macs: u64) -> KernelTimer {
     KernelTimer { variant, macs, start: Instant::now(), _span: span::enter(variant, "kernel") }
 }
 
-/// The three registry counters of one kernel variant, as registered at
-/// registry generation `generation`.
+/// The three registry counters of one kernel variant.
 struct VariantCounters {
     variant: &'static str,
-    generation: u64,
     calls: Arc<Counter>,
     macs: Arc<Counter>,
     ns: Arc<Counter>,
 }
 
 impl VariantCounters {
-    fn lookup(variant: &'static str, generation: u64) -> Self {
+    fn lookup(variant: &'static str) -> Self {
         let reg = registry();
         VariantCounters {
             variant,
-            generation,
             calls: reg.counter(&format!("kernel.{variant}.calls")),
             macs: reg.counter(&format!("kernel.{variant}.macs")),
             ns: reg.counter(&format!("kernel.{variant}.ns")),
@@ -64,19 +61,14 @@ thread_local! {
 impl Drop for KernelTimer {
     fn drop(&mut self) {
         let ns = self.start.elapsed().as_nanos() as u64;
-        let generation = registry().generation();
         // `try_with` fails only while this thread's locals are being torn
         // down; the sample is dropped then rather than panicking in drop.
         let _ = HANDLES.try_with(|handles| {
             let mut handles = handles.borrow_mut();
             let i = match handles.iter().position(|h| h.variant == self.variant) {
-                Some(i) if handles[i].generation == generation => i,
-                Some(i) => {
-                    handles[i] = VariantCounters::lookup(self.variant, generation);
-                    i
-                }
+                Some(i) => i,
                 None => {
-                    handles.push(VariantCounters::lookup(self.variant, generation));
+                    handles.push(VariantCounters::lookup(self.variant));
                     handles.len() - 1
                 }
             };

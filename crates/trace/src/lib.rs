@@ -9,9 +9,8 @@
 //! * [`mod@span`] — `span!`-style RAII guards with thread-local buffers,
 //!   merged deterministically by timestamp, for wall-clock
 //!   instrumentation of the execution substrate;
-//! * [`metrics`] — a process-wide registry of monotone counters, gauges
-//!   and sample-exact histograms (the kernel layer's per-variant
-//!   invocation/MAC/time tallies live here);
+//! * [`metrics`] — a process-wide registry of monotone counters (the
+//!   kernel layer's per-variant invocation/MAC/time tallies live here);
 //! * [`stats`] — the single nearest-rank [`quantile`] and [`Histogram`]
 //!   every report in the workspace now aggregates with;
 //! * [`chrome`] — a Chrome trace-event / Perfetto-compatible [`Trace`]
@@ -47,6 +46,6 @@ pub use forensics::{
     Blame, ForensicsDoc, ForensicsLog, ForensicsStats, RequestTimeline,
 };
 pub use json::{parse as parse_json, validate_chrome_trace, Json, TraceStats};
-pub use metrics::{registry, Counter, Gauge, HistSummary, Registry, Snapshot};
+pub use metrics::{registry, Counter, Registry};
 pub use span::{SpanGuard, SpanRecord};
 pub use stats::{quantile, Histogram};

@@ -8,7 +8,7 @@ use edgellm::core::{Engine, PoissonArrivals, RunConfig, SequenceSpec};
 use edgellm::corpus::{BpeTokenizer, CorpusKind, SyntheticCorpus};
 use edgellm::fleet::{run_fleet, FaultPlan, FleetConfig, FleetDevice, FleetSim, JoinShortestQueue};
 use edgellm::hw::{DeviceSpec, PowerMode};
-use edgellm::mem::KvBlockAllocator;
+use edgellm::mem::PagedKv;
 use edgellm::models::{Llm, Precision};
 use edgellm::nn::{KvCache, TinyCausalLm, TinyConfig};
 use edgellm::perf::PerfModel;
@@ -96,10 +96,11 @@ proptest! {
         prop_assert!(throttled.latency_s(32, 32, 64) >= maxn.latency_s(32, 32, 64) - 1e-9);
     }
 
-    /// KV allocator: blocks are conserved across arbitrary workloads.
+    /// KV allocator (`PagedKv`, prefix cache off): blocks are conserved
+    /// across arbitrary workloads and every refcount matches its holder.
     #[test]
     fn kv_allocator_conserves_blocks(ops in proptest::collection::vec((0u32..8, 1u64..64), 1..40)) {
-        let mut a = KvBlockAllocator::new(1 << 22, 16, 1024); // 256 blocks
+        let mut a = PagedKv::new(1 << 22, 16, 1024); // 256 blocks
         let total = a.total_blocks();
         let mut live: std::collections::HashSet<u32> = Default::default();
         for (seq, tokens) in ops {
@@ -111,15 +112,13 @@ proptest! {
                 live.insert(seq);
                 let _ = a.append(seq, tokens); // may exhaust: fine
             }
-            let held = total - a.free_blocks();
-            prop_assert!(held <= total);
-            prop_assert!(a.used_bytes() <= a.reserved_bytes());
+            prop_assert_eq!(a.verify(), Vec::<String>::new());
         }
         for s in live {
             a.release(s).unwrap();
         }
         prop_assert_eq!(a.free_blocks(), total);
-        prop_assert_eq!(a.fragmentation(), 0.0);
+        prop_assert_eq!(a.verify(), Vec::<String>::new());
     }
 
     /// Trapezoidal energy of any sampled timeline is bounded by
