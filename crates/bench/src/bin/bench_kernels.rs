@@ -10,7 +10,9 @@
 //!
 //! This is a plain binary (not a criterion bench) so it can run from
 //! `cargo run --release` in CI without dev-dependencies: timing is
-//! best-of-N `Instant` sampling and the JSON is written by hand.
+//! best-of-N `Instant` sampling and the JSON is written by hand. Each
+//! precision's fused and dequant variants are timed back to back within
+//! every repetition, so host noise hits both sides of their ratio.
 //!
 //! Usage: `bench_kernels [--iters N] [--quick] [--out PATH] [--trace-out PATH]
 //!                       [--check-against PATH] [--tolerance F]`
@@ -56,15 +58,25 @@ struct Record {
     parallel_ns: u128,
 }
 
-/// Best-of-`iters` wall-clock nanoseconds for one invocation of `f`
-/// (after one warm-up call).
-fn time_ns(iters: usize, mut f: impl FnMut()) -> u128 {
-    f();
-    let mut best = u128::MAX;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
+/// A named kernel variant and one invocation of it.
+type Variant<'a> = (&'static str, &'a mut dyn FnMut());
+
+/// Best-of-`iters` wall-clock nanoseconds for one invocation of each
+/// variant of `group` (after one warm-up call each). Every repetition
+/// times the whole group back to back, so a slow stretch of the host
+/// lands on every variant alike instead of on one side of a
+/// fused-vs-dequant ratio.
+fn time_ns(iters: usize, group: &mut [Variant]) -> Vec<u128> {
+    for (_, f) in group.iter_mut() {
         f();
-        best = best.min(t0.elapsed().as_nanos());
+    }
+    let mut best = vec![u128::MAX; group.len()];
+    for _ in 0..iters.max(1) {
+        for (b, (_, f)) in best.iter_mut().zip(group.iter_mut()) {
+            let t0 = Instant::now();
+            f();
+            *b = (*b).min(t0.elapsed().as_nanos());
+        }
     }
     best
 }
@@ -81,45 +93,56 @@ fn bench_shape(
     let x = Matrix::rand_kaiming(m, k, 1);
     let w = Matrix::rand_normal(n, k, 0.05, 2);
 
-    // One closure per kernel variant; boxed so they can live in one list.
-    // Quantized weights are built per entry and dropped right after so the
-    // peak footprint stays near one precision at a time.
-    let mut run = |kernel: &str, f: &mut dyn FnMut()| {
-        let serial_ns = rayon::with_num_threads(SERIAL_THREADS, || time_ns(iters, &mut *f));
-        let parallel_ns = rayon::with_num_threads(PARALLEL_THREADS, || time_ns(iters, &mut *f));
-        eprintln!("  {kernel:<16} serial {serial_ns:>12} ns  parallel {parallel_ns:>12} ns");
-        out.push(Record { shape, m, k, n, kernel: kernel.to_string(), serial_ns, parallel_ns });
+    // One group of kernel variants per precision — fused and dequant
+    // together, so both sides of a ratio share each repetition's host
+    // state. Quantized weights are built per group and dropped right
+    // after so the peak footprint stays near one precision at a time.
+    let mut run = |group: &mut [Variant]| {
+        let serial = rayon::with_num_threads(SERIAL_THREADS, || time_ns(iters, group));
+        let parallel = rayon::with_num_threads(PARALLEL_THREADS, || time_ns(iters, group));
+        for ((&mut (kernel, _), serial_ns), parallel_ns) in
+            group.iter_mut().zip(serial).zip(parallel)
+        {
+            eprintln!("  {kernel:<16} serial {serial_ns:>12} ns  parallel {parallel_ns:>12} ns");
+            out.push(Record { shape, m, k, n, kernel: kernel.to_string(), serial_ns, parallel_ns });
+        }
     };
 
-    run("f32", &mut || {
+    run(&mut [("f32", &mut || {
         black_box(matmul_nt(black_box(&x), black_box(&w)));
-    });
+    })]);
     {
         let w16 = F16Matrix::from_f32(&w);
-        run("f16_fused", &mut || {
-            black_box(w16.matmul_nt(black_box(&x)));
-        });
-        run("f16_dequant", &mut || {
-            black_box(w16.matmul_nt_dequant(black_box(&x)));
-        });
+        run(&mut [
+            ("f16_fused", &mut || {
+                black_box(w16.matmul_nt(black_box(&x)));
+            }),
+            ("f16_dequant", &mut || {
+                black_box(w16.matmul_nt_dequant(black_box(&x)));
+            }),
+        ]);
     }
     {
         let w8 = QInt8Matrix::from_f32(&w);
-        run("int8_fused", &mut || {
-            black_box(w8.matmul_nt(black_box(&x)));
-        });
-        run("int8_dequant", &mut || {
-            black_box(w8.matmul_nt_dequant(black_box(&x)));
-        });
+        run(&mut [
+            ("int8_fused", &mut || {
+                black_box(w8.matmul_nt(black_box(&x)));
+            }),
+            ("int8_dequant", &mut || {
+                black_box(w8.matmul_nt_dequant(black_box(&x)));
+            }),
+        ]);
     }
     {
         let w4 = QInt4Matrix::from_f32(&w);
-        run("int4_fused", &mut || {
-            black_box(w4.matmul_nt(black_box(&x)));
-        });
-        run("int4_dequant", &mut || {
-            black_box(w4.matmul_nt_dequant(black_box(&x)));
-        });
+        run(&mut [
+            ("int4_fused", &mut || {
+                black_box(w4.matmul_nt(black_box(&x)));
+            }),
+            ("int4_dequant", &mut || {
+                black_box(w4.matmul_nt_dequant(black_box(&x)));
+            }),
+        ]);
     }
 }
 

@@ -711,8 +711,11 @@ impl ServeSim {
     /// sequences are live) one fused iteration.
     ///
     /// Drive it with [`ServeSim::next_event_s`]; stepping to an earlier
-    /// instant is a no-op beyond admission.
+    /// instant is a no-op beyond admission. Errors with
+    /// [`RunError::InvalidConfig`], changing nothing, when `now` is not
+    /// finite.
     pub fn step(&mut self, now: f64) -> Result<(), RunError> {
+        check_instant("step", now)?;
         self.idle_to(now);
         self.admit()?;
         if self.live.is_empty() {
@@ -1218,8 +1221,11 @@ impl ServeSim {
     /// then flips, so `energy == Σ power·dt` holds exactly across the
     /// change. While sequences are live the local clock is already at or
     /// beyond any externally observed instant, so the flip lands on the
-    /// current iteration boundary unchanged.
+    /// current iteration boundary unchanged. Errors with
+    /// [`RunError::InvalidConfig`], changing nothing, when `t_s` is not
+    /// finite.
     pub fn set_power_mode_at(&mut self, pm: &PowerMode, t_s: f64) -> Result<(), RunError> {
+        check_instant("power-mode change", t_s)?;
         self.idle_to(t_s);
         self.set_power_mode(pm)
     }
@@ -1534,6 +1540,16 @@ impl ServeSim {
             });
         }
         Ok(ServeRun { report: self.report(), audit: self.audit() })
+    }
+}
+
+/// Check a clock instant handed to the simulator is finite: a NaN or
+/// infinite one would carry the clock and the energy integral with it.
+fn check_instant(what: &str, t_s: f64) -> Result<(), RunError> {
+    if t_s.is_finite() {
+        Ok(())
+    } else {
+        Err(RunError::InvalidConfig(format!("{what} at non-finite time {t_s}")))
     }
 }
 
@@ -2390,6 +2406,35 @@ mod tests {
         assert_eq!(drained.drain_incomplete(), vec![ok]);
         let run = sim.run().unwrap();
         assert_eq!(run.report.requests, 1);
+    }
+
+    #[test]
+    fn clock_entry_points_reject_non_finite_times() {
+        // A quiescent sim after one request drained: a non-finite instant
+        // must neither move the clock nor bill energy, and the sim must
+        // still serve what comes next.
+        let (dev, cfg) = setup();
+        let mut sim = ServeSim::with_seq_hint(ServeConfig::chunked(16), &dev, &cfg, 64).unwrap();
+        sim.submit(&Request { id: 0, arrival_s: 0.5, input_tokens: 32, output_tokens: 8 }).unwrap();
+        while let Some(now) = sim.next_event_s() {
+            sim.step(now).unwrap();
+        }
+        let (t, energy, trace) = (sim.now(), sim.energy_j, sim.trace().len());
+        let pm = sim.power_mode().clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = sim.set_power_mode_at(&pm, bad).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+            let err = sim.step(bad).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+            assert_eq!((sim.now(), sim.energy_j, sim.trace().len()), (t, energy, trace), "{bad}");
+        }
+        sim.submit(&Request { id: 1, arrival_s: t + 1.0, input_tokens: 32, output_tokens: 8 })
+            .unwrap();
+        while let Some(now) = sim.next_event_s() {
+            sim.step(now).unwrap();
+        }
+        assert_eq!(sim.completions().len(), 2);
+        assert!(sim.now().is_finite() && sim.energy_j.is_finite());
     }
 
     #[test]

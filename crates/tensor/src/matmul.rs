@@ -136,11 +136,14 @@ pub mod policy {
     /// f16 decode that the column split's per-block overhead (fork/join
     /// plus re-touching the quantized activation row from every worker)
     /// dominates the arithmetic it divides. The tiled kernel made each
-    /// element cheaper still — serial int8_fused runs the Phi-2 decode
-    /// shape in 5.8 ms against 29.6 ms for dequantize-then-dot and 8.5 ms
-    /// for int4_fused (`BENCH_kernels.json`) — so decode shapes stay
-    /// serial and batched shapes keep the row split. Neither split has
-    /// been re-timed on a multi-core host since.
+    /// element cheaper still, and now widens each code tile once per call
+    /// and shares it across the activation rows — serial int8_fused runs
+    /// the Phi-2 decode shape in 8.5 ms against 59.7 ms for
+    /// dequantize-then-dot and 14.0 ms for int4_fused, and its Phi-2 cost
+    /// grows 3.3× from m = 1 to m = 8 (`BENCH_kernels.json`) — so decode
+    /// shapes stay serial and batched shapes keep the row split. The
+    /// shared tile needs no row threshold here: it measured no loss at
+    /// m = 1. Neither split has been re-timed on a multi-core host since.
     pub fn matmul_int8_nt(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let elems = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || m < 2 || elems < 2 * QUANT_MIN_ELEMS_PER_THREAD {

@@ -14,13 +14,14 @@ use crate::matmul::{dot, policy};
 use crate::tensor::Matrix;
 use rayon::prelude::*;
 
-/// Integer dot product of two i8 slices, accumulated exactly in i32.
+/// Integer dot product of an activation row and a code row, accumulated
+/// exactly in i32.
 ///
 /// 8-lane unrolled like [`dot`]; integer addition is associative, so the
 /// result is exact and independent of lane structure — the kernel is
 /// deterministic by construction.
 #[inline]
-fn idot(a: &[i8], b: &[i8]) -> i32 {
+fn idot(a: &[i16], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0i32; 8];
     let chunks = a.len() / 8;
@@ -40,47 +41,59 @@ fn idot(a: &[i8], b: &[i8]) -> i32 {
 /// Weight rows per register tile of the fused product.
 const TILE: usize = 4;
 
-/// i32 accumulator lanes per weight row in [`idot_x4`].
+/// Activation elements per chunk of the tiled micro-kernel.
 const LANES: usize = 16;
 
-/// Register-tiled micro-kernel: [`idot`] of `x` against four code rows in
-/// one pass. Each `LANES`-wide activation chunk is loaded once for all
-/// four rows, and each row accumulates into its own `LANES` exact i32
-/// lanes, so LLVM vectorizes the loop. Integer addition is exact, so every
-/// result equals `idot(x, w[t])` whatever the lane structure.
-#[inline]
-fn idot_x4(x: &[i8], w: [&[i8]; TILE]) -> [i32; TILE] {
-    let k = x.len();
-    let body = k - k % LANES;
-    let mut acc = [[0i32; LANES]; TILE];
-    for j in (0..body).step_by(LANES) {
-        let xc = &x[j..j + LANES];
-        let [c0, c1, c2, c3] = w.map(|r| &r[j..j + LANES]);
-        for l in 0..LANES {
-            let xv = xc[l] as i32;
-            acc[0][l] += xv * c0[l] as i32;
-            acc[1][l] += xv * c1[l] as i32;
-            acc[2][l] += xv * c2[l] as i32;
-            acc[3][l] += xv * c3[l] as i32;
+/// Widen the whole `LANES`-wide chunks of four code rows to i16 for
+/// [`idot_x4`], interleaved by chunk: chunk `c` of row `t` lands at
+/// `wide[(c·TILE + t)·LANES..]`, so one activation chunk meets its four
+/// weight chunks in one contiguous `TILE·LANES` run. `wide` holds exactly
+/// the rows' whole chunks.
+fn widen_x4(w: [&[i8]; TILE], wide: &mut [i16]) {
+    for (c, dst) in wide.chunks_exact_mut(TILE * LANES).enumerate() {
+        for (d, r) in dst.chunks_exact_mut(LANES).zip(w) {
+            let src: &[i8; LANES] =
+                r[c * LANES..(c + 1) * LANES].try_into().expect("a whole chunk");
+            d.copy_from_slice(&src.map(i16::from));
         }
     }
-    let mut out = [0i32; TILE];
-    for (o, (a, r)) in out.iter_mut().zip(acc.iter().zip(w)) {
-        let mut s: i32 = a.iter().sum();
-        for j in body..k {
-            s += x[j] as i32 * r[j] as i32;
+}
+
+/// Register-tiled micro-kernel: [`idot`] of `x` against four code rows,
+/// read from their widened copy `wide` (see [`widen_x4`]) up to the last
+/// whole chunk and from the i8 rows `w` after it. Each `LANES`-wide
+/// activation chunk is loaded once for all four rows, and each i32 lane
+/// takes one adjacent pair of i16 products, `x[2l]·w[2l] + x[2l+1]·w[2l+1]`,
+/// which LLVM vectorizes with `pmaddwd` on baseline x86-64. Products and
+/// sums are exact integers, so every result equals `idot(x, w[t])`
+/// whatever the lane structure.
+#[inline]
+fn idot_x4(x: &[i16], wide: &[i16], w: [&[i8]; TILE]) -> [i32; TILE] {
+    let mut acc = [[0i32; LANES / 2]; TILE];
+    for (xc, wc) in x.chunks_exact(LANES).zip(wide.chunks_exact(TILE * LANES)) {
+        for (a, c) in acc.iter_mut().zip(wc.chunks_exact(LANES)) {
+            for ((s, xp), wp) in a.iter_mut().zip(xc.chunks_exact(2)).zip(c.chunks_exact(2)) {
+                *s += xp[0] as i32 * wp[0] as i32 + xp[1] as i32 * wp[1] as i32;
+            }
         }
-        *o = s;
+    }
+    let body = x.len() - x.len() % LANES;
+    let mut out = acc.map(|a| a.iter().sum::<i32>());
+    for (o, r) in out.iter_mut().zip(w) {
+        for (&a, &b) in x[body..].iter().zip(&r[body..]) {
+            *o += a as i32 * b as i32;
+        }
     }
     out
 }
 
 /// One activation row, pre-quantized for the fused INT8 product: the
-/// inlier features as i8 codes with their absmax scale, and the outlier
+/// inlier features as INT8 codes (held in i16, the width [`idot_x4`]
+/// multiplies at) with their absmax scale, and the outlier
 /// features gathered as f32. Computed **once per activation row** and
 /// shared across every weight row (and every column-parallel segment).
 struct QuantizedRow {
-    x_in: Vec<i8>,
+    x_in: Vec<i16>,
     xs: f32,
     x_out: Vec<f32>,
 }
@@ -208,10 +221,10 @@ impl QInt8Matrix {
             absmax = absmax.max(xr[c as usize].abs());
         }
         let xs = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-        let x_in: Vec<i8> = self
+        let x_in: Vec<i16> = self
             .inlier_cols
             .iter()
-            .map(|&c| (xr[c as usize] / xs).round().clamp(-127.0, 127.0) as i8)
+            .map(|&c| (xr[c as usize] / xs).round().clamp(-127.0, 127.0) as i16)
             .collect();
         let x_out: Vec<f32> = self.outlier_cols.iter().map(|&c| xr[c as usize]).collect();
         QuantizedRow { x_in, xs, x_out }
@@ -248,8 +261,9 @@ impl QInt8Matrix {
 
     /// Fill `out[i·stride + j] = fused_elem(qrows[i], c0 + j)` for every
     /// activation row `i` and `j < cols`. Weight rows go [`TILE`] at a
-    /// time through [`idot_x4`], each tile of code rows reused across
-    /// every activation row; leftover columns take `fused_elem`.
+    /// time: each tile of code rows is widened to i16 once per call, into
+    /// one buffer reused for every tile, and every activation row runs
+    /// [`idot_x4`] against it; leftover columns take `fused_elem`.
     fn fused_tile(
         &self,
         qrows: &[QuantizedRow],
@@ -258,6 +272,8 @@ impl QInt8Matrix {
         out: &mut [f32],
         stride: usize,
     ) {
+        let n_in = self.inlier_cols.len();
+        let mut wide = vec![0i16; TILE * (n_in - n_in % LANES)];
         let mut j = 0;
         while j + TILE <= cols {
             let c = c0 + j;
@@ -267,8 +283,9 @@ impl QInt8Matrix {
                 self.code_row(c + 2),
                 self.code_row(c + 3),
             ];
+            widen_x4(w, &mut wide);
             for (i, q) in qrows.iter().enumerate() {
-                let ints = idot_x4(&q.x_in, w);
+                let ints = idot_x4(&q.x_in, &wide, w);
                 for (t, &int) in ints.iter().enumerate() {
                     out[i * stride + j + t] = self.finish_elem(q, c + t, int);
                 }
@@ -319,9 +336,11 @@ impl QInt8Matrix {
         // all dispatch paths and weight rows).
         let qrows: Vec<QuantizedRow> = (0..m).map(|r| self.quantize_row(x.row(r))).collect();
         // Every path runs `fused_tile`: weight-tile outer, batch-row inner,
-        // so each packed code tile is streamed once per batch block. Loop
-        // order cannot change the bits — each element depends only on its
-        // own (activation row, weight row) pair.
+        // so each code tile is widened to i16 once per call (once per
+        // block or segment on the parallel paths) and every row of the
+        // block reuses it. Loop order cannot change the bits — each
+        // element depends only on its own (activation row, weight row)
+        // pair.
         match dispatch {
             policy::Dispatch::Serial => self.fused_tile(&qrows, 0, n, out.as_mut_slice(), n),
             policy::Dispatch::RowParallel => {
@@ -473,21 +492,23 @@ mod tests {
     /// The tiled product against the per-element reference `fused_elem`,
     /// bit for bit, on every dispatch path at 1, 2 and 8 threads: m = 1..=9
     /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
-    /// several column-parallel segments. k = 75 is four 16-lane chunks and
-    /// an 11-element tail.
-    fn assert_tiled_matches_reference(outliers: bool) {
+    /// several column-parallel segments. `k` inputs per row, two of them
+    /// planted outlier columns when `outliers` is set; those are detected
+    /// at a factor of 2, since at 6 two planted columns cannot stand out
+    /// from a mean over k ≤ 12 columns.
+    fn assert_tiled_matches_reference(k: usize, outliers: bool) {
         use policy::Dispatch;
-        let k = 75;
         for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
             let mut w = Matrix::rand_kaiming(n, k, n as u64);
             if outliers {
                 for r in 0..n {
                     w.set(r, 3, 30.0 + r as f32 * 0.01);
-                    w.set(r, 60, -25.0);
+                    w.set(r, k - 2, -25.0);
                 }
             }
-            let q = QInt8Matrix::from_f32(&w);
-            assert_eq!(q.n_outliers(), if outliers { 2 } else { 0 });
+            let factor = if outliers { 2.0 } else { DEFAULT_OUTLIER_FACTOR };
+            let q = QInt8Matrix::from_f32_with_factor(&w, factor);
+            assert_eq!(q.n_outliers(), if outliers { 2 } else { 0 }, "k={k} n={n}");
             let max_m = if n > 13 { 2 } else { 9 };
             for m in 1..=max_m {
                 let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
@@ -500,7 +521,7 @@ mod tests {
                                 assert_eq!(
                                     y.get(r, c).to_bits(),
                                     q.fused_elem(qr, c).to_bits(),
-                                    "({r},{c}) of m={m} n={n}, {d:?}, {threads} threads"
+                                    "({r},{c}) of m={m} n={n} k={k}, {d:?}, {threads} threads"
                                 );
                             }
                         }
@@ -510,14 +531,23 @@ mod tests {
         }
     }
 
+    /// k = 7 is below one `LANES` chunk (tail only), 16 exactly one chunk,
+    /// 75 four chunks and an 11-element tail, 131 eight chunks and a
+    /// 3-element tail.
+    const TILED_KS: [usize; 4] = [7, 16, 75, 131];
+
     #[test]
     fn tiled_matmul_is_bitwise_the_per_element_reference() {
-        assert_tiled_matches_reference(false);
+        for k in TILED_KS {
+            assert_tiled_matches_reference(k, false);
+        }
     }
 
     #[test]
     fn tiled_matmul_is_bitwise_the_reference_with_outliers() {
-        assert_tiled_matches_reference(true);
+        for k in TILED_KS {
+            assert_tiled_matches_reference(k, true);
+        }
     }
 
     #[test]
