@@ -8,13 +8,13 @@
 //! (1 thread) vs parallel (4 threads), and fused vs dequantize-then-dot
 //! for the quantized formats.
 //!
-//! This is a plain binary (not a criterion bench) so it can run from
-//! `cargo run --release` in CI without dev-dependencies: timing is
-//! best-of-N `Instant` sampling and the JSON is written by hand. Each
-//! precision's fused and dequant variants are timed back to back within
-//! every repetition, so host noise hits both sides of their ratio.
+//! It is the workspace's one timing harness below `perfbench`, a plain
+//! binary that runs from `cargo run --release`: timing is best-of-N
+//! `Instant` sampling and the JSON is written by hand. Each precision's
+//! fused and dequant variants are timed back to back within every
+//! repetition, so host noise hits both sides of their ratio.
 //!
-//! Usage: `bench_kernels [--iters N] [--quick] [--out PATH] [--trace-out PATH]
+//! Usage: `bench_kernels [--iters N] [--out PATH] [--trace-out PATH]
 //!                       [--check-against PATH] [--tolerance F]`
 //!
 //! `--check-against <baseline.json>` compares this run's serial
@@ -348,8 +348,8 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
     s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     // On a single-core host the "parallel" pass is concurrency theater:
     // rayon still splits the work but every shard runs on the one core,
-    // so speedup numbers are meaningless noise. Consumers (the CI bench
-    // smoke, trend dashboards) must skip speedup assertions when false.
+    // so speedup numbers are meaningless noise. Consumers (CI's speedup
+    // assertion, trend dashboards) must skip speedup assertions when false.
     s.push_str(&format!("  \"parallel_valid\": {},\n", host_cores > 1));
     s.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -374,7 +374,6 @@ fn write_json(path: &str, records: &[Record]) -> std::io::Result<()> {
 
 fn main() {
     let mut iters = 3usize;
-    let mut quick = false;
     let mut out_path = "BENCH_kernels.json".to_string();
     let mut trace_out = std::env::var("EDGELLM_TRACE").ok();
     let mut baseline_path: Option<String> = None;
@@ -388,7 +387,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--iters needs an integer argument");
             }
-            "--quick" => quick = true,
             "--out" => out_path = args.next().expect("--out needs a path argument"),
             "--trace-out" => {
                 trace_out = Some(args.next().expect("--trace-out needs a path argument"));
@@ -405,7 +403,7 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_kernels [--iters N] [--quick] [--out PATH] [--trace-out PATH] \
+                    "usage: bench_kernels [--iters N] [--out PATH] [--trace-out PATH] \
                      [--check-against PATH] [--tolerance F]"
                 );
                 std::process::exit(2);
@@ -414,27 +412,20 @@ fn main() {
     }
 
     let mut records = Vec::new();
-    if quick {
-        // CI smoke shapes: exercise every kernel and both dispatch paths
-        // in a few seconds.
-        bench_shape("quick_decode", 1, 256, 2048, iters, &mut records);
-        bench_shape("quick_prefill", 16, 256, 512, iters, &mut records);
-    } else {
-        // Paper decode shapes: single token against the FFN up-projection.
-        bench_shape("phi2_decode", 1, 2560, 10240, iters, &mut records);
-        bench_shape("llama8b_decode", 1, 4096, 14336, iters, &mut records);
-        // Chunked-prefill shape (32-token chunk through the Phi-2 FFN).
-        bench_shape("phi2_prefill32", 32, 2560, 10240, iters, &mut records);
-        // Verify-batch shapes: speculative decoding scores 1+k draft rows
-        // in one pass, so the decode GEMV becomes a skinny GEMM at
-        // m = 2/4/8 — shapes the INT8/INT4 fused-vs-dequant gate must cover.
-        bench_shape("phi2_verify2", 2, 2560, 10240, iters, &mut records);
-        bench_shape("phi2_verify4", 4, 2560, 10240, iters, &mut records);
-        bench_shape("phi2_verify8", 8, 2560, 10240, iters, &mut records);
-        bench_shape("llama8b_verify2", 2, 4096, 14336, iters, &mut records);
-        bench_shape("llama8b_verify4", 4, 4096, 14336, iters, &mut records);
-        bench_shape("llama8b_verify8", 8, 4096, 14336, iters, &mut records);
-    }
+    // Paper decode shapes: single token against the FFN up-projection.
+    bench_shape("phi2_decode", 1, 2560, 10240, iters, &mut records);
+    bench_shape("llama8b_decode", 1, 4096, 14336, iters, &mut records);
+    // Chunked-prefill shape (32-token chunk through the Phi-2 FFN).
+    bench_shape("phi2_prefill32", 32, 2560, 10240, iters, &mut records);
+    // Verify-batch shapes: speculative decoding scores 1+k draft rows in
+    // one pass, so the decode GEMV becomes a skinny GEMM at m = 2/4/8 —
+    // shapes the INT8/INT4 fused-vs-dequant gate must cover.
+    bench_shape("phi2_verify2", 2, 2560, 10240, iters, &mut records);
+    bench_shape("phi2_verify4", 4, 2560, 10240, iters, &mut records);
+    bench_shape("phi2_verify8", 8, 2560, 10240, iters, &mut records);
+    bench_shape("llama8b_verify2", 2, 4096, 14336, iters, &mut records);
+    bench_shape("llama8b_verify4", 4, 4096, 14336, iters, &mut records);
+    bench_shape("llama8b_verify8", 8, 4096, 14336, iters, &mut records);
 
     write_json(&out_path, &records).expect("failed to write bench JSON");
     eprintln!("wrote {out_path} ({} records)", records.len());
@@ -572,7 +563,7 @@ mod tests {
     fn disjoint_shapes_are_an_error_not_a_silent_pass() {
         let mut other = fresh(100, 300);
         for r in &mut other {
-            r.shape = "quick_decode";
+            r.shape = "llama8b_decode";
         }
         assert!(check_against(BASELINE, &other, 0.25, true).is_err());
         assert!(parse_baseline("{}").is_err());

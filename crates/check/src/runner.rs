@@ -327,7 +327,7 @@ fn apply_knob(sim: &mut ServeSim, registry: &PowerModeRegistry, kind: FaultKind,
         }
         FaultKind::ClockSkew { ahead_ms } => {
             let now = sim.now();
-            sim.skip_to(now + ahead_ms as f64 / 1000.0);
+            sim.skip_to(now + ahead_ms as f64 / 1000.0).expect("a finite clock skips finitely");
         }
         FaultKind::Down | FaultKind::Up => {}
     }

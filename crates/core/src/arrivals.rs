@@ -25,10 +25,9 @@ pub struct Request {
 }
 
 /// Check an offline trace a simulator is about to be built over: it must
-/// hold at least one request, and every arrival time must be finite —
-/// simulators order their events by time, and a NaN or infinite instant
-/// has no place in that order. Returns the longest request shape (prompt
-/// plus output tokens), which sizes a simulator's activation reserve.
+/// hold at least one request, and every request must pass
+/// [`check_arrival`]. Returns the longest request shape (prompt plus
+/// output tokens), which sizes a simulator's activation reserve.
 pub fn check_trace(requests: &[Request]) -> Result<u64, RunError> {
     requests.iter().try_for_each(check_arrival)?;
     requests
@@ -38,18 +37,22 @@ pub fn check_trace(requests: &[Request]) -> Result<u64, RunError> {
         .ok_or_else(|| RunError::InvalidConfig("no requests".into()))
 }
 
-/// Check one request's arrival time is finite — the rule
-/// [`check_trace`] applies to a whole trace, for a request submitted on
-/// its own.
+/// Check one request a simulator is about to queue. Its arrival time
+/// must be finite: simulators order their events by time, and a NaN or
+/// infinite instant has no place in that order. Its prompt plus output
+/// tokens plus one (the admission watermark's first decode token) must
+/// fit in a `u64`.
 pub fn check_arrival(r: &Request) -> Result<(), RunError> {
-    if r.arrival_s.is_finite() {
-        Ok(())
-    } else {
-        Err(RunError::InvalidConfig(format!(
+    if !r.arrival_s.is_finite() {
+        return Err(RunError::InvalidConfig(format!(
             "request {} arrives at non-finite time {}",
             r.id, r.arrival_s
-        )))
+        )));
     }
+    if r.input_tokens.checked_add(r.output_tokens).and_then(|n| n.checked_add(1)).is_none() {
+        return Err(RunError::InvalidConfig(format!("request {} overflows a token count", r.id)));
+    }
+    Ok(())
 }
 
 /// A Poisson arrival process with uniform token-count jitter around a base

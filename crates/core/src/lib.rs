@@ -45,7 +45,7 @@ pub mod serve;
 
 pub use arrivals::{PoissonArrivals, Request};
 pub use config::{Dataset, RunConfig, SequenceSpec};
-pub use continuous::{ContinuousBatcher, ContinuousReport};
+pub use continuous::ContinuousReport;
 pub use engine::Engine;
 pub use error::RunError;
 pub use metrics::{quantile, BatchMetrics, RunMetrics};

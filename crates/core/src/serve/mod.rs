@@ -1,9 +1,7 @@
 //! Event-driven, iteration-level serving.
 //!
-//! This module is the successor to the monolithic
-//! [`ContinuousBatcher::run`](crate::ContinuousBatcher::run) loop.
-//! [`ServeSim`] advances the system one engine iteration at a time with
-//! three properties the legacy loop lacked:
+//! [`ServeSim`] advances the system one engine iteration at a time, with
+//! three properties a precomputed schedule lacks:
 //!
 //! * **chunked prefill** — prompts are processed `chunk_tokens` at a time,
 //!   fused with the decode batch so admissions do not stall live
@@ -48,5 +46,5 @@ pub use governor::{GovernorHook, GovernorObs};
 pub use scheduler::{
     PrefillPolicy, ServeConfig, ServeRun, SpecConfig, DEFAULT_CHUNK_TOKENS, KV_BLOCK_TOKENS,
 };
-pub use sim::{Completion, ServeAudit, ServeSim};
+pub use sim::{run_static, Completion, ServeAudit, ServeSim};
 pub use trace::{IterPhase, IterationTrace};

@@ -104,7 +104,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Blocking-prefill configuration (legacy `ContinuousBatcher` regime).
+    /// Blocking-prefill configuration: each admission's solo prefill stalls the live batch.
     pub fn blocking(max_batch: usize) -> Self {
         ServeConfig {
             max_batch,

@@ -51,6 +51,7 @@ use crate::arrivals::{self, Request};
 use crate::config::RunConfig;
 use crate::continuous::ContinuousReport;
 use crate::error::RunError;
+use crate::metrics::quantile;
 use crate::serve::governor::{GovernorHook, GovernorObs};
 use crate::serve::scheduler::{PrefillPolicy, ServeConfig, ServeRun, KV_BLOCK_TOKENS};
 use crate::serve::trace::{IterPhase, IterationTrace};
@@ -360,6 +361,73 @@ impl OperatingPoint {
             bw_ratio: self.bw_ratio,
         })
     }
+}
+
+/// The measured regime [`ServeSim`] is compared against: static batches
+/// of `max_batch` formed in arrival order on `run_cfg`'s operating point.
+/// A batch launches when full (or when no requests remain) and runs to
+/// the completion of its longest member. Errors on an empty trace, a
+/// non-finite arrival time or an invalid power mode.
+pub fn run_static(
+    max_batch: usize,
+    device: &DeviceSpec,
+    run_cfg: &RunConfig,
+    requests: &[Request],
+) -> Result<ContinuousReport, RunError> {
+    arrivals::check_trace(requests)?;
+    run_cfg.power_mode.validate(device)?;
+    let op = OperatingPoint::new(device, run_cfg);
+    let mut queue = requests.to_vec();
+    queue.sort_by(|a, b| {
+        a.arrival_s.partial_cmp(&b.arrival_s).expect("checked finite").then(a.id.cmp(&b.id))
+    });
+    let mut t = 0.0f64;
+    let mut latencies = Vec::with_capacity(queue.len());
+    let mut ttfts = Vec::with_capacity(queue.len());
+    let mut out_tokens = 0u64;
+    let mut energy_j = 0.0f64;
+    let mut prefill_stall_s = 0.0f64;
+    for chunk in queue.chunks(max_batch.max(1)) {
+        let ready = chunk.last().expect("non-empty chunk").arrival_s;
+        let start = t.max(ready);
+        if start > t {
+            energy_j += op.idle_power * (start - t);
+        }
+        let bs = chunk.len() as u64;
+        let n_in = chunk.iter().map(|r| r.input_tokens).max().expect("non-empty");
+        let n_out = chunk.iter().map(|r| r.output_tokens).max().expect("non-empty");
+        let prefill_s = op.perf.prefill_time(bs, n_in.max(1));
+        let lat = op.perf.latency_s(bs, n_in, n_out);
+        let decode_s = (lat - prefill_s).max(0.0);
+        prefill_stall_s += prefill_s;
+        energy_j +=
+            op.rail_power(op.perf.prefill_utilization(bs, n_in.max(1))).total_w() * prefill_s;
+        energy_j +=
+            op.rail_power(op.perf.decode_utilization(bs, n_in + n_out / 2)).total_w() * decode_s;
+        t = start + lat;
+        for r in chunk {
+            latencies.push(t - r.arrival_s);
+            // First token lands when the batch's shared prefill ends.
+            ttfts.push(start + prefill_s - r.arrival_s);
+            out_tokens += r.output_tokens;
+        }
+    }
+    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    ttfts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    Ok(ContinuousReport {
+        makespan_s: t,
+        mean_latency_s: latencies.iter().sum::<f64>() / latencies.len() as f64,
+        p95_latency_s: quantile(&latencies, 0.95),
+        output_tok_s: out_tokens as f64 / t,
+        mean_occupancy: max_batch as f64,
+        requests: latencies.len(),
+        energy_j,
+        preemptions: 0,
+        mean_ttft_s: ttfts.iter().sum::<f64>() / ttfts.len() as f64,
+        p50_ttft_s: quantile(&ttfts, 0.50),
+        p99_ttft_s: quantile(&ttfts, 0.99),
+        prefill_stall_s,
+    })
 }
 
 impl ServeSim {
@@ -686,24 +754,32 @@ impl ServeSim {
     /// Jump a quiescent simulation's clock to `now` without billing
     /// energy: the device was powered off across the gap (e.g. a fleet
     /// outage), not idling. No-op while sequences are live or when `now`
-    /// is not ahead of the local clock.
-    pub fn skip_to(&mut self, now: f64) {
+    /// is not ahead of the local clock. Errors with
+    /// [`RunError::InvalidConfig`], changing nothing, when `now` is not
+    /// finite.
+    pub fn skip_to(&mut self, now: f64) -> Result<(), RunError> {
+        check_instant("clock skip", now)?;
         if self.live.is_empty() && now > self.t {
             self.t = now;
         }
+        Ok(())
     }
 
     /// Advance a quiescent simulation's clock to `now`, billing the gap
     /// at idle power — the device stayed powered across it (e.g. a
     /// thermal cooldown). No-op while sequences are live or when `now`
-    /// is not ahead of the local clock.
-    pub fn idle_to(&mut self, now: f64) {
+    /// is not ahead of the local clock. Errors with
+    /// [`RunError::InvalidConfig`], changing nothing, when `now` is not
+    /// finite.
+    pub fn idle_to(&mut self, now: f64) -> Result<(), RunError> {
+        check_instant("clock advance", now)?;
         if self.live.is_empty() && now > self.t {
             let dt = now - self.t;
             self.bill_energy(self.op.idle_power * dt, &[]);
             self.t = now;
             self.record(dt, IterPhase::Idle, 0, 0, 0, (self.op.idle_power, self.op.idle_rails));
         }
+        Ok(())
     }
 
     /// Advance the clock to `now` and perform one scheduler turn:
@@ -715,8 +791,7 @@ impl ServeSim {
     /// [`RunError::InvalidConfig`], changing nothing, when `now` is not
     /// finite.
     pub fn step(&mut self, now: f64) -> Result<(), RunError> {
-        check_instant("step", now)?;
-        self.idle_to(now);
+        self.idle_to(now)?;
         self.admit()?;
         if self.live.is_empty() {
             return Ok(());
@@ -1225,8 +1300,7 @@ impl ServeSim {
     /// [`RunError::InvalidConfig`], changing nothing, when `t_s` is not
     /// finite.
     pub fn set_power_mode_at(&mut self, pm: &PowerMode, t_s: f64) -> Result<(), RunError> {
-        check_instant("power-mode change", t_s)?;
-        self.idle_to(t_s);
+        self.idle_to(t_s)?;
         self.set_power_mode(pm)
     }
 
@@ -1973,16 +2047,16 @@ mod tests {
         let (dev, cfg) = setup();
         let reqs = [Request { id: 0, arrival_s: 4.0, input_tokens: 32, output_tokens: 8 }];
         let mut sim = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &reqs).unwrap();
-        sim.skip_to(3.0);
+        sim.skip_to(3.0).unwrap();
         assert_eq!(sim.now(), 3.0);
         let e = sim.energy_j();
-        sim.skip_to(1.0); // earlier than the clock: must not rewind
+        sim.skip_to(1.0).unwrap(); // earlier than the clock: must not rewind
         assert_eq!(sim.now(), 3.0);
         assert_eq!(sim.energy_j(), e, "a skipped gap bills nothing");
         // Live sequences also pin the clock.
         sim.step(4.0).unwrap();
         let t = sim.now();
-        sim.skip_to(t + 100.0);
+        sim.skip_to(t + 100.0).unwrap();
         assert_eq!(sim.now(), t, "skip_to is quiescent-only");
         while let Some(now) = sim.next_event_s() {
             sim.step(now).unwrap();
@@ -2422,11 +2496,15 @@ mod tests {
         let (t, energy, trace) = (sim.now(), sim.energy_j, sim.trace().len());
         let pm = sim.power_mode().clone();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = sim.set_power_mode_at(&pm, bad).unwrap_err();
-            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
-            let err = sim.step(bad).unwrap_err();
-            assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
-            assert_eq!((sim.now(), sim.energy_j, sim.trace().len()), (t, energy, trace), "{bad}");
+            for err in [
+                sim.set_power_mode_at(&pm, bad).unwrap_err(),
+                sim.step(bad).unwrap_err(),
+                sim.idle_to(bad).unwrap_err(),
+                sim.skip_to(bad).unwrap_err(),
+            ] {
+                assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+                assert_eq!((sim.now(), sim.energy_j, sim.trace().len()), (t, energy, trace));
+            }
         }
         sim.submit(&Request { id: 1, arrival_s: t + 1.0, input_tokens: 32, output_tokens: 8 })
             .unwrap();
@@ -2435,6 +2513,29 @@ mod tests {
         }
         assert_eq!(sim.completions().len(), 2);
         assert!(sim.now().is_finite() && sim.energy_j.is_finite());
+    }
+
+    #[test]
+    fn token_counts_that_overflow_the_watermark_are_rejected() {
+        // `input + output + 1` (the admission watermark) must fit a u64.
+        let (dev, cfg) = setup();
+        let huge =
+            |id, input_tokens| Request { id, arrival_s: 0.5, input_tokens, output_tokens: 1 };
+        for r in [huge(1, u64::MAX), huge(2, u64::MAX - 1)] {
+            let err = ServeSim::new(ServeConfig::chunked(16), &dev, &cfg, &[r]).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{err}");
+        }
+        let mut sim = ServeSim::with_seq_hint(ServeConfig::chunked(16), &dev, &cfg, 64).unwrap();
+        sim.submit(&huge(0, 32)).unwrap();
+        sim.step(0.5).unwrap();
+        let before = (sim.now(), sim.energy_j, sim.trace().len(), sim.submitted());
+        for err in [
+            sim.submit(&huge(1, u64::MAX)),
+            sim.submit_with_prompt(&huge(2, u64::MAX - 1), &[7; 4]),
+        ] {
+            assert!(matches!(err, Err(RunError::InvalidConfig(_))), "{err:?}");
+            assert_eq!((sim.now(), sim.energy_j, sim.trace().len(), sim.submitted()), before);
+        }
     }
 
     #[test]

@@ -5,9 +5,8 @@
 
 use crate::batch_sweep::serving_precision;
 use crate::report::{Check, ExperimentResult, Table};
-use edgellm_core::{
-    compare_offload, CloudEndpoint, ContinuousBatcher, Engine, PoissonArrivals, RunConfig,
-};
+use edgellm_core::serve::{run_static, ServeConfig, ServeSim};
+use edgellm_core::{compare_offload, CloudEndpoint, Engine, PoissonArrivals, RunConfig};
 use edgellm_governor::{search_power_modes, SearchConstraints};
 use edgellm_hw::DeviceSpec;
 use edgellm_models::{Llm, Precision};
@@ -217,9 +216,11 @@ pub fn serving_comparison() -> ExperimentResult {
     let mut checks = Vec::new();
     for rate in [0.5f64, 1.5, 3.0] {
         let reqs = PoissonArrivals::paper_shape(rate).generate(80, 11);
-        let batcher = ContinuousBatcher::new(32);
-        let cont = batcher.run(&dev, &cfg, &reqs).expect("fits");
-        let stat = batcher.run_static(&dev, &cfg, &reqs).expect("fits");
+        let cont = ServeSim::new(ServeConfig::blocking(32), &dev, &cfg, &reqs)
+            .and_then(ServeSim::run)
+            .expect("fits")
+            .report;
+        let stat = run_static(32, &dev, &cfg, &reqs).expect("fits");
         for (policy, r) in [("continuous", &cont), ("static", &stat)] {
             t.row(vec![
                 format!("{rate:.1}"),

@@ -9,8 +9,8 @@
 
 use crate::batch_sweep::serving_precision;
 use crate::report::{Check, ExperimentResult, Table};
-use edgellm_core::serve::{ServeConfig, ServeSim};
-use edgellm_core::{ContinuousBatcher, ContinuousReport, PoissonArrivals, RunConfig};
+use edgellm_core::serve::{run_static, ServeConfig, ServeSim};
+use edgellm_core::{ContinuousReport, PoissonArrivals, RunConfig};
 use edgellm_hw::DeviceSpec;
 use edgellm_models::Llm;
 
@@ -52,7 +52,7 @@ pub fn run() -> ExperimentResult {
     for llm in Llm::ALL {
         let cfg = RunConfig::new(llm, serving_precision(llm));
         let reqs = PoissonArrivals::paper_shape(RATE).generate(N_REQS, SEED);
-        let stat = ContinuousBatcher::new(16).run_static(&dev, &cfg, &reqs).expect("fits");
+        let stat = run_static(16, &dev, &cfg, &reqs).expect("fits");
         let run = |serve| ServeSim::new(serve, &dev, &cfg, &reqs).and_then(ServeSim::run);
         let block = run(ServeConfig::blocking(16)).expect("fits").report;
         let chunked = run(ServeConfig::chunked(16)).expect("fits").report;

@@ -103,9 +103,10 @@ impl FaultPlan {
         self
     }
 
-    /// A dropout at `down_s` followed by recovery at `up_s`.
+    /// A dropout at `down_s` followed by recovery at `up_s`. A NaN time
+    /// is kept, for [`FleetSim::new`](crate::FleetSim::new) to reject.
     pub fn outage(self, device: usize, down_s: f64, up_s: f64) -> Self {
-        assert!(up_s >= down_s, "recovery precedes dropout");
+        assert!(up_s >= down_s || up_s.is_nan() || down_s.is_nan(), "recovery precedes dropout");
         self.down(device, down_s).up(device, up_s)
     }
 
@@ -152,11 +153,11 @@ impl FaultPlan {
 
     fn sort(&mut self) {
         // Stable by (time, device, kind rank): Down sorts before same-
-        // instant knobs, Up last.
+        // instant knobs, Up last. A total order, so a plan with a
+        // non-finite time still builds; `FleetSim::new` rejects it.
         self.events.sort_by(|a, b| {
             a.t_s
-                .partial_cmp(&b.t_s)
-                .expect("finite fault times")
+                .total_cmp(&b.t_s)
                 .then(a.device.cmp(&b.device))
                 .then(a.kind.rank().cmp(&b.kind.rank()))
         });

@@ -34,6 +34,10 @@ use crate::queue::{Key, Tournament};
 use crate::report::{DeviceReport, FleetReport};
 use crate::routing::{Decision, DeviceView, RoutingPolicy};
 
+/// Why a member's clock calls cannot fail: every fleet instant derives
+/// from arrival and fault times [`FleetSim::new`] checked finite.
+const FINITE: &str = "arrival and fault times checked finite at construction";
+
 /// Fleet-level knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -207,7 +211,8 @@ impl FleetSim {
     /// Build a fleet over `members` (≥1) serving `requests`.
     ///
     /// Every member's serve simulation is sized for the trace's longest
-    /// request shape; a member whose model cannot load errors here.
+    /// request shape; a member whose model cannot load errors here, and
+    /// so does a non-finite fault time.
     pub fn new(
         members: Vec<FleetDevice>,
         policy: Box<dyn RoutingPolicy>,
@@ -218,6 +223,9 @@ impl FleetSim {
             return Err(RunError::InvalidConfig("fleet needs at least one device".into()));
         }
         let max_sl = edgellm_core::arrivals::check_trace(requests)?;
+        if let Some(f) = cfg.faults.events().iter().find(|f| !f.t_s.is_finite()) {
+            return Err(RunError::InvalidConfig(format!("fault at non-finite time {}", f.t_s)));
+        }
         let mut devices = members
             .into_iter()
             .map(|m| DeviceSim::new(m, max_sl))
@@ -690,11 +698,7 @@ impl FleetSim {
         self.up_count += 1;
         self.mark(now, RouterMark::DeviceUp { device: i });
         let d = &mut self.devices[i];
-        if powered {
-            d.sim.idle_to(now);
-        } else {
-            d.sim.skip_to(now);
-        }
+        if powered { d.sim.idle_to(now) } else { d.sim.skip_to(now) }.expect(FINITE);
         let held = std::mem::take(&mut self.held);
         for r in held {
             self.route(r, now);
@@ -767,7 +771,7 @@ impl FleetSim {
         }
         let d = self.device_mut(i);
         let before = d.sim.now();
-        d.sim.skip_to(now.max(before) + ahead_ms as f64 / 1000.0);
+        d.sim.skip_to(now.max(before) + ahead_ms as f64 / 1000.0).expect(FINITE);
         if d.sim.now() > before {
             self.mark(now, RouterMark::ClockSkewed { device: i, ahead_ms });
         }
@@ -841,12 +845,12 @@ impl FleetSim {
         self.mark(now, RouterMark::Routed { rid: r.id, device: i });
         self.touch(i);
         let d = &mut self.devices[i];
-        d.sim.idle_to(now);
+        d.sim.idle_to(now).expect(FINITE);
         match self.prompts.get(&r.id) {
             Some(p) => d.sim.submit_with_prompt(r, p),
             None => d.sim.submit(r),
         }
-        .expect("arrival times checked at construction");
+        .expect("requests checked at construction");
     }
 
     fn cloud_complete(&mut self, r: Request, now: f64) {
@@ -1272,6 +1276,23 @@ mod tests {
             .err()
             .expect("a non-finite arrival must not build a fleet");
             assert!(matches!(err, RunError::InvalidConfig(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_fault_time_is_rejected() {
+        let reqs = PoissonArrivals::paper_shape(1.0).generate(4, 1);
+        for faults in [
+            FaultPlan::none().down(0, 1.0).up(0, f64::NAN),
+            FaultPlan::none().power_flip(0, f64::NAN, 1),
+            FaultPlan::none().outage(0, 1.0, f64::INFINITY),
+            FaultPlan::none().outage(1, f64::NAN, 2.0),
+        ] {
+            let cfg = FleetConfig { faults, ..FleetConfig::default() };
+            let err = FleetSim::new(agx_pair(), Box::new(RoundRobin::default()), cfg, &reqs)
+                .err()
+                .expect("a non-finite fault time must not build a fleet");
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{err}");
         }
     }
 

@@ -162,6 +162,14 @@ mod tests {
         assert!(m.fits(32, 256), "sl=256 must fit");
         assert!(!m.fits(32, 512), "sl=512 must OoM");
         assert!(!m.fits(32, 1024), "sl=1024 must OoM");
+        // DESIGN §5: the quadratic activation term is the mechanism. It
+        // puts sl=256 at 20.1 GB against Table 7's 19.98; without it the
+        // model gives 13.8 GB there and wrongly fits sl=512.
+        let linear = MemoryModel { act: ActivationCalib { c_quad: 0.0, ..m.act }, ..m.clone() };
+        let miss = |m: &MemoryModel| (m.peak_total_gb(32, 256) - 19.98).abs() / 19.98;
+        assert!(miss(&m) < 0.02, "with the term, sl=256 misses by {:.3}", miss(&m));
+        assert!(miss(&linear) > 0.3, "linear-only, sl=256 misses by {:.3}", miss(&linear));
+        assert!(linear.fits(32, 512), "linear-only, sl=512 fits");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   allocator: refcounted fixed-size blocks ([`BlockPool`]), an
 //!   optional radix-tree prompt-prefix cache with deterministic LRU
 //!   eviction ([`RadixCache`]), and the [`PagedKv`] facade the batching
-//!   engine, the serve scheduler and the paging ablation bench drive
+//!   engine and the serve scheduler drive
 //!   (vLLM/SGLang-style paged attention accounting, simulation-first;
 //!   with the prefix cache off it is a flat block-granular allocator);
 //! * [`idmap`] — the integer-keyed hash map those per-sequence and

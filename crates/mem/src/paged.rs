@@ -394,6 +394,7 @@ impl PagedKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgellm_models::Llm;
 
     fn paged() -> PagedKv {
         // 64 blocks of 16 tokens, prefix cache on.
@@ -458,6 +459,23 @@ mod tests {
         assert_eq!(p.release(3).unwrap(), 2);
         assert_eq!(p.free_blocks(), 10);
         assert!(p.verify().is_empty());
+    }
+
+    #[test]
+    fn paging_fits_ten_times_the_contiguous_reservations() {
+        // DESIGN §5: an 8 GiB pool of Llama-3.1-8B KV and 96-token
+        // sequences. Reserving a 1024-token context each fits 64; 16-token
+        // blocks on demand fit 682, and every reserved byte holds a token.
+        let (pool, per_token) = (8u64 << 30, Llm::Llama31_8b.arch().kv_bytes_per_token());
+        assert_eq!(pool / (1024 * per_token), 64);
+        let mut p = PagedKv::new(pool, 16, per_token);
+        let fit = (0..).take_while(|&id| {
+            p.register(id);
+            p.append(id, 96).is_ok()
+        });
+        let fit = fit.count() as u64;
+        assert_eq!(fit, 682);
+        assert_eq!(p.reserved_bytes(), fit * 96 * per_token, "no fragmentation");
     }
 
     #[test]

@@ -201,6 +201,10 @@ mod tests {
         assert_eq!(phi.kv_bytes_per_token(), 2 * 32 * 2560 * 4);
         assert_eq!(llama.kv_bytes_per_token(), 2 * 32 * (8 * 128) * 2);
         assert!(phi.kv_bytes_per_token() > 4 * llama.kv_bytes_per_token());
+        // DESIGN §5: GQA is what keeps Llama light. With one KV head per
+        // query head (MHA) it would cache 524 KB/token, 4x as much.
+        let mha = ModelArch { kv_heads: llama.heads, ..llama.clone() };
+        assert_eq!(mha.kv_bytes_per_token(), 4 * llama.kv_bytes_per_token());
     }
 
     #[test]

@@ -328,6 +328,22 @@ mod tests {
     }
 
     #[test]
+    fn pure_roofline_misses_the_host_bound_anchor() {
+        // DESIGN §5: DeepSeek INT8 at bs=1, 32+64 tokens takes 43.25 s
+        // (Table 4). The calibrated model lands on it; with the host and
+        // INT8 dispatch terms zeroed, the roofline left misses it by more
+        // than half (12.3 s against 43.2 s).
+        let (llm, prec, paper) = (Llm::DeepseekQwen32b, Precision::Int8, 43.25);
+        let full = model(llm, prec).latency_s(1, 32, 64);
+        assert!((full - paper).abs() / paper < 0.02, "calibrated {full:.1} s");
+        let dev = DeviceSpec::orin_agx_64gb();
+        let calib = ModelCalib { host_s: 0.0, int8_layer_s: 0.0, ..ModelCalib::for_llm(llm) };
+        let clocks = dev.max_clocks();
+        let roofline = PerfModel::with_calib(dev, llm, prec, clocks, calib).latency_s(1, 32, 64);
+        assert!(roofline < 0.5 * paper, "pure roofline {roofline:.1} s");
+    }
+
+    #[test]
     fn throughput_rises_with_batch_size() {
         // Fig 1's headline shape.
         for llm in Llm::ALL {

@@ -9,10 +9,8 @@
 //! cargo run --release --example serving_planner
 //! ```
 
-use edgellm::core::serve::{ServeConfig, ServeSim};
-use edgellm::core::{
-    ContinuousBatcher, Engine, PoissonArrivals, RunConfig, SequenceSpec, StaticBatcher,
-};
+use edgellm::core::serve::{run_static, ServeConfig, ServeSim};
+use edgellm::core::{Engine, PoissonArrivals, RunConfig, SequenceSpec, StaticBatcher};
 use edgellm::models::{Llm, Precision};
 
 /// Requests waiting in the queue.
@@ -87,7 +85,7 @@ fn online_policies(engine: &Engine) {
     );
     for rate in [0.5, 1.5, 3.0] {
         let reqs = PoissonArrivals::paper_shape(rate).generate(N_REQS, SEED);
-        let stat = ContinuousBatcher::new(16).run_static(dev, &cfg, &reqs).expect("model fits");
+        let stat = run_static(16, dev, &cfg, &reqs).expect("model fits");
         let run = |serve| ServeSim::new(serve, dev, &cfg, &reqs).and_then(ServeSim::run);
         let block = run(ServeConfig::blocking(16)).expect("model fits");
         let chunked = run(ServeConfig::chunked(16)).expect("model fits");

@@ -17,8 +17,8 @@
 
 use edgellm::core::serve::{ServeConfig, ServeSim};
 use edgellm::core::{
-    ContinuousBatcher, ContinuousReport, Engine, PoissonArrivals, RunConfig, SequenceSpec,
-    ServingReport, StaticBatcher,
+    ContinuousReport, Engine, PoissonArrivals, RunConfig, SequenceSpec, ServingReport,
+    StaticBatcher,
 };
 use edgellm::fleet::{
     run_fleet, EnergyGreedy, FaultPlan, FleetConfig, FleetDevice, FleetReport, JoinShortestQueue,
@@ -56,14 +56,11 @@ fn continuous_report(llm: Llm, chunked: bool) -> ContinuousReport {
     let engine = Engine::orin_agx_64gb();
     let cfg = RunConfig::new(llm, serving_precision(llm));
     let reqs = PoissonArrivals::paper_shape(RATE).generate(N_REQS, SEED);
-    if chunked {
-        ServeSim::new(ServeConfig::chunked(16), engine.device(), &cfg, &reqs)
-            .and_then(ServeSim::run)
-            .expect("model serves")
-            .report
-    } else {
-        ContinuousBatcher::new(16).run(engine.device(), &cfg, &reqs).expect("model serves")
-    }
+    let serve = if chunked { ServeConfig::chunked(16) } else { ServeConfig::blocking(16) };
+    ServeSim::new(serve, engine.device(), &cfg, &reqs)
+        .and_then(ServeSim::run)
+        .expect("model serves")
+        .report
 }
 
 /// The heterogeneous fleet the `ext-fleet` goldens run on: the paper's
