@@ -806,10 +806,31 @@ impl ServeSim {
         Ok(())
     }
 
+    /// The error for a request whose prompt needs `blocks` KV blocks in
+    /// an otherwise empty pool. Summed in f64, which is exact below
+    /// 2^53 bytes, so a prompt near `u64::MAX` tokens cannot overflow it.
+    fn pool_oom(&self, blocks: u64) -> RunError {
+        RunError::OutOfMemory {
+            peak_gb: (self.reserve as f64 + blocks as f64 * self.block_bytes as f64) / GB,
+            usable_gb: self.usable as f64 / GB,
+        }
+    }
+
     /// Admission at the iteration boundary.
     fn admit(&mut self) -> Result<(), RunError> {
         while let Some(job) = self.pending.front().copied() {
             if job.arrival_s > self.t || self.live.len() >= self.cap {
+                break;
+            }
+            // A prompt needing more blocks than the whole pool never
+            // fits: it is the same error at quiescence that the gate
+            // below reaches, and it waits while sequences are live. No
+            // ids are built and no cached block is evicted for it.
+            let full_blocks = (job.prompt_tokens + 1).div_ceil(KV_BLOCK_TOKENS);
+            if full_blocks > self.kv.total_blocks() as u64 {
+                if self.live.is_empty() {
+                    return Err(self.pool_oom(full_blocks));
+                }
                 break;
             }
             // Watermark gate: the *uncached* part of the prompt plus the
@@ -832,17 +853,14 @@ impl ServeSim {
                 // the cache wholesale and admit cold: the match named
                 // blocks the clear just freed.
                 self.kv_freed += self.kv.clear_cache() as u64;
-                need = ((job.prompt_tokens + 1).div_ceil(KV_BLOCK_TOKENS)) as usize;
+                need = full_blocks as usize;
                 plan.matched = PrefixMatch::default();
             }
             if need > self.kv.free_blocks() {
                 if self.live.is_empty() {
                     // Every block is free and the prompt still does
                     // not fit: the request alone exceeds the pool.
-                    return Err(RunError::OutOfMemory {
-                        peak_gb: (self.reserve + need as u64 * self.block_bytes) as f64 / GB,
-                        usable_gb: self.usable as f64 / GB,
-                    });
+                    return Err(self.pool_oom(need as u64));
                 }
                 break;
             }
@@ -2536,6 +2554,40 @@ mod tests {
             assert!(matches!(err, Err(RunError::InvalidConfig(_))), "{err:?}");
             assert_eq!((sim.now(), sim.energy_j, sim.trace().len(), sim.submitted()), before);
         }
+    }
+
+    #[test]
+    fn a_prompt_larger_than_the_pool_fails_before_its_ids_are_built() {
+        // 4,000,000 prompt tokens need 250,001 blocks; the pool holds
+        // 21,708. At quiescence that is the pool error, and the 4M
+        // prompt ids are never built.
+        let (dev, cfg) = setup();
+        let cached = ServeConfig::chunked(16).with_prefix_cache();
+        let req = |id, input_tokens| Request { id, arrival_s: 0.5, input_tokens, output_tokens: 4 };
+        let mut sim = ServeSim::with_seq_hint(cached, &dev, &cfg, 64).unwrap();
+        assert_eq!(sim.kv_total_blocks(), 21_708);
+        sim.submit(&req(1, 4_000_000)).unwrap();
+        let err = sim.step(0.5).unwrap_err();
+        let RunError::OutOfMemory { peak_gb, usable_gb } = err else { panic!("{err}") };
+        assert_eq!(((peak_gb * 10.0).round(), (usable_gb * 10.0).round()), (5408.0, 620.0));
+        assert!(sim.prompts.is_empty());
+        // Behind a live sequence it waits, still without ids, and fails
+        // the same way once the sim drains.
+        let mut sim = ServeSim::with_seq_hint(cached, &dev, &cfg, 64).unwrap();
+        sim.submit(&req(0, 32)).unwrap();
+        sim.submit(&req(1, 4_000_000)).unwrap();
+        let mut steps = 0;
+        let err = loop {
+            let t = sim.next_event_s().expect("the huge request is still pending");
+            match sim.step(t) {
+                Ok(()) => steps += 1,
+                Err(e) => break e,
+            }
+            assert!(!sim.prompts.contains_key(&1), "ids built for the oversized prompt");
+        };
+        assert!(steps > 0 && sim.completions().len() == 1, "{steps} steps");
+        let RunError::OutOfMemory { peak_gb: live_peak, .. } = err else { panic!("{err}") };
+        assert_eq!(live_peak.to_bits(), peak_gb.to_bits());
     }
 
     #[test]

@@ -440,9 +440,10 @@ mod tests {
         // The load-bearing equivalence: batched prefill and token-by-token
         // decode must agree to the bit, at every precision. Both run one
         // layer stack, so this pins the kernels: T rows at once and one
-        // row at a time give the same bits.
+        // row at a time give the same bits. 21 rows run two full groups
+        // of the batched INT4 kernel and five leftover rows.
         let base_model = TinyCausalLm::new(TinyConfig::small(11));
-        let tokens = [3u32, 200, 17, 91, 4, 55, 120];
+        let tokens: Vec<u32> = (0..21u32).map(|i| (i * 37 + 3) % 256).collect();
         for prec in [
             None,
             Some(WeightPrecision::Fp16),
@@ -483,13 +484,15 @@ mod tests {
     fn prefill_from_matches_cold_prefill_at_all_precisions() {
         // The serve-layer equivalence: resuming from a cached shared
         // prefix (what a radix hit hands the model) must reproduce the
-        // cold full-prompt prefill bit for bit — logits and cache.
+        // cold full-prompt prefill bit for bit — logits and cache. The
+        // cold prefill runs 27 rows and the warm one 21, so both cross
+        // the batched INT4 kernel's groups and remainders.
         let base_model = TinyCausalLm::new(TinyConfig::small(21));
         let shared: Vec<u32> = vec![4, 90, 7, 255, 31, 18];
         let mut a = shared.clone();
         a.extend([10, 11, 12]);
         let mut b = shared.clone();
-        b.extend([200, 100, 50, 25]);
+        b.extend((0..21u32).map(|i| (i * 53 + 25) % 256));
         for prec in [
             None,
             Some(WeightPrecision::Fp16),

@@ -110,6 +110,17 @@ pub mod policy {
 
     /// Dispatch for the fused quantized NT kernels (`QInt4Matrix`,
     /// `F16Matrix`) at `(m × k) · (n × k)ᵀ`.
+    ///
+    /// The INT4 product also picks its kernel by the rows each unit
+    /// gets, a crossover measured serially on a 2-vCPU x86-64 VM and
+    /// recorded in `QInt4Matrix::fused_tile`: one row reads the packed
+    /// nibbles directly (decoding the tile first took about 2× as long
+    /// at m = 1), and two or more rows decode each four-weight-row tile
+    /// once and share it across groups of eight activation rows, the
+    /// leftover rows going one at a time. Eight measured faster than
+    /// four, six and twelve. So a column-parallel unit (one row) always
+    /// takes the nibble kernel, and a row-parallel unit (at most eight
+    /// rows) fills at most one group.
     pub fn matmul_quant_nt(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let elems = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || elems < 2 * QUANT_MIN_ELEMS_PER_THREAD {
@@ -138,9 +149,9 @@ pub mod policy {
     /// dominates the arithmetic it divides. The tiled kernel made each
     /// element cheaper still, and now widens each code tile once per call
     /// and shares it across the activation rows — serial int8_fused runs
-    /// the Phi-2 decode shape in 8.5 ms against 59.7 ms for
-    /// dequantize-then-dot and 14.0 ms for int4_fused, and its Phi-2 cost
-    /// grows 3.3× from m = 1 to m = 8 (`BENCH_kernels.json`) — so decode
+    /// the Phi-2 decode shape in 6.8 ms against 31.3 ms for
+    /// dequantize-then-dot and 8.7 ms for int4_fused, and its Phi-2 cost
+    /// grows 4.5× from m = 1 to m = 8 (`BENCH_kernels.json`) — so decode
     /// shapes stay serial and batched shapes keep the row split. The
     /// shared tile needs no row threshold here: it measured no loss at
     /// m = 1. Neither split has been re-timed on a multi-core host since.

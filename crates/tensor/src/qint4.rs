@@ -53,6 +53,10 @@ static NF4_PAIRS: [[f32; 2]; 256] = {
 /// Weight rows per register tile of the fused product.
 const TILE: usize = 4;
 
+/// Activation rows per group of the batched product, each group run
+/// against one decoded tile.
+const GROUP: usize = 8;
+
 /// Nearest codebook index for a normalized value in [−1, 1].
 #[inline]
 fn nearest_level(v: f32) -> u8 {
@@ -247,46 +251,81 @@ impl QInt4Matrix {
         }
     }
 
-    /// [`Self::fused_dot_x4`] reading levels pre-decoded by
-    /// [`Self::decode_levels_x4`] — the batch-amortized variant. The
-    /// interleaved layout puts the tile's four levels of one column side
-    /// by side, so each step is one four-wide multiply-add with every lane
-    /// in `fused_dot`'s order; a stored level reads back exactly, so the
-    /// bits are equal too.
+    /// [`Self::fused_dot_x4`] for the `R` activation rows `r..r + R` of
+    /// `x`, reading levels pre-decoded by [`Self::decode_levels_x4`] —
+    /// the batch-amortized variant. The interleaved layout puts the tile's
+    /// four levels of one column side by side, so each step is one
+    /// four-wide multiply-add per activation row against one load of the
+    /// level pair. Every (activation row, weight row) pair keeps its own
+    /// `(lo, hi)` chains and its own block-scale order, so each lane runs
+    /// `fused_dot`'s sequence of operations; a stored level reads back
+    /// exactly, so the bits are equal too. `R` rows run `2·R` independent
+    /// vector chains, where one row is bound by the add latency of two.
     #[inline]
-    fn fused_dot_decoded_x4(&self, xr: &[f32], c: usize, levels: &[[f32; TILE]]) -> [f32; TILE] {
-        let mut total = [0.0f32; TILE];
+    fn fused_dot_decoded<const R: usize>(
+        &self,
+        x: &Matrix,
+        r: usize,
+        c: usize,
+        levels: &[[f32; TILE]],
+    ) -> [[f32; TILE]; R] {
+        let xr: [&[f32]; R] = std::array::from_fn(|g| x.row(r + g));
+        let mut total = [[0.0f32; TILE]; R];
         for b in 0..self.blocks_per_row {
             let (start, end) = self.block_span(b);
             let nb = end - start;
-            let pairs = nb / 2;
-            let xs = &xr[start..end];
-            let ls = &levels[start..end];
-            let (mut lo, mut hi) = ([0.0f32; TILE], [0.0f32; TILE]);
-            for (x, l) in xs[..2 * pairs].chunks_exact(2).zip(ls.chunks_exact(2)) {
-                for t in 0..TILE {
-                    lo[t] += x[0] * l[0][t];
-                    hi[t] += x[1] * l[1][t];
+            // Column pairs of the block; every row's pairs have the same
+            // length, so the loop indexes them without bounds checks.
+            let (lp, _) = levels[start..end].as_chunks::<2>();
+            let xs: [&[[f32; 2]]; R] =
+                std::array::from_fn(|g| &xr[g][start..end].as_chunks::<2>().0[..lp.len()]);
+            let (mut lo, mut hi) = ([[0.0f32; TILE]; R], [[0.0f32; TILE]; R]);
+            for (p, [l0, l1]) in lp.iter().enumerate() {
+                for g in 0..R {
+                    let [x0, x1] = xs[g][p];
+                    for t in 0..TILE {
+                        lo[g][t] += x0 * l0[t];
+                        hi[g][t] += x1 * l1[t];
+                    }
                 }
             }
             if nb % 2 == 1 {
-                for t in 0..TILE {
-                    lo[t] += xs[nb - 1] * ls[nb - 1][t];
+                for g in 0..R {
+                    for t in 0..TILE {
+                        lo[g][t] += xr[g][end - 1] * levels[end - 1][t];
+                    }
                 }
             }
             for t in 0..TILE {
-                total[t] += (lo[t] + hi[t]) * self.scales[(c + t) * self.blocks_per_row + b];
+                let scale = self.scales[(c + t) * self.blocks_per_row + b];
+                for g in 0..R {
+                    total[g][t] += (lo[g][t] + hi[g][t]) * scale;
+                }
             }
         }
         total
     }
 
     /// Fill `out[i·stride + j] = fused_dot(x.row(r0 + i), c0 + j)` for
-    /// `i < rows` and `j < cols`. Weight rows go [`TILE`] at a time: a
-    /// single activation row reads the nibbles directly
-    /// ([`Self::fused_dot_x4`]); a batch decodes the tile once and shares
-    /// it across every row ([`Self::fused_dot_decoded_x4`]). Leftover
-    /// columns take `fused_dot`.
+    /// `i < rows` and `j < cols`. Weight rows go [`TILE`] at a time;
+    /// leftover columns take `fused_dot`. How a tile is read depends on
+    /// the row count. The numbers that chose it are serial, best of 5–6
+    /// alternating runs on a 2-vCPU x86-64 VM, over the Phi-2 up
+    /// projection (k = 2560, n = 10240) and one layer of `chat-int4`'s
+    /// projections (k = 128 and 384; µs per activation row):
+    ///
+    /// * One row reads the nibbles directly ([`Self::fused_dot_x4`]).
+    ///   Decoding the tile first, as a batch does, took 24.7 against
+    ///   10.6 ms at Phi-2 and 132 against 58 µs at `chat-int4`.
+    /// * A batch decodes the tile once ([`Self::decode_levels_x4`]) and
+    ///   runs [`Self::fused_dot_decoded`] over groups of [`GROUP`] rows,
+    ///   then over the leftover rows one at a time. Against single rows
+    ///   throughout, groups of eight took 20–25 against 34–36 µs at
+    ///   m = 16–64 and 94 against 162 ms at Phi-2 m = 32. Groups of 4, 6
+    ///   and 12 took 42–63 µs at m = 32 and 64, where 8 took 32–33. A
+    ///   4-row step before the single rows did not pay: at m = 4 it tied
+    ///   them at `chat-int4` (62 µs) and lost at Phi-2 (44 against
+    ///   37 ms), where LLVM spills and transposes its accumulators.
     #[allow(clippy::too_many_arguments)] // internal kernel: tile coordinates are clearer flat than bundled
     fn fused_tile(
         &self,
@@ -306,13 +345,19 @@ impl QInt4Matrix {
                 out[j..j + TILE].copy_from_slice(&self.fused_dot_x4(x.row(r0), c));
             } else {
                 self.decode_levels_x4(c, &mut levels);
-                for i in 0..rows {
-                    let base = i * stride + j;
-                    out[base..base + TILE].copy_from_slice(&self.fused_dot_decoded_x4(
-                        x.row(r0 + i),
-                        c,
-                        &levels,
-                    ));
+                let mut put = |i: usize, ys: &[[f32; TILE]]| {
+                    for (g, y) in ys.iter().enumerate() {
+                        let base = (i + g) * stride + j;
+                        out[base..base + TILE].copy_from_slice(y);
+                    }
+                };
+                let mut i = 0;
+                while i + GROUP <= rows {
+                    put(i, &self.fused_dot_decoded::<GROUP>(x, r0 + i, c, &levels));
+                    i += GROUP;
+                }
+                for i in i..rows {
+                    put(i, &self.fused_dot_decoded::<1>(x, r0 + i, c, &levels));
                 }
             }
             j += TILE;
@@ -464,15 +509,17 @@ mod tests {
     }
 
     /// The tiled product against the per-element reference `fused_dot`,
-    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: m = 1..=9
-    /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
-    /// several column-parallel segments.
+    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: n =
+    /// 1..=13 (so `n % TILE != 0` tails) at m = 1..=17 and 24, which run
+    /// up to three row groups and up to seven leftover rows; plus an n
+    /// that spans several column-parallel segments at m = 1..=9.
     fn assert_tiled_matches_reference(k: usize) {
         use policy::Dispatch;
         for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
             let q = QInt4Matrix::from_f32(&Matrix::rand_normal(n, k, 0.05, n as u64));
-            let max_m = if n > 13 { 2 } else { 9 };
-            for m in 1..=max_m {
+            let ms: Vec<usize> =
+                if n > 13 { (1..=9).collect() } else { (1..=17).chain([24]).collect() };
+            for m in ms {
                 let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
                 for threads in [1, 2, 8] {
                     for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
