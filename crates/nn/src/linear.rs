@@ -67,10 +67,14 @@ impl Linear {
     }
 
     /// A copy of this layer at another precision (real re-quantization of
-    /// the dequantized weights).
+    /// the dequantized weights; f32 weights are quantized from a borrow,
+    /// not cloned first).
     pub fn to_precision(&self, prec: WeightPrecision) -> Linear {
-        let f32_weights = self.weights.dequantize();
-        Linear { weights: QuantizedWeights::quantize(&f32_weights, prec), bias: self.bias.clone() }
+        let weights = match &self.weights {
+            QuantizedWeights::Fp32(w) => QuantizedWeights::quantize(w, prec),
+            stored => QuantizedWeights::quantize(&stored.dequantize(), prec),
+        };
+        Linear { weights, bias: self.bias.clone() }
     }
 
     /// Storage bytes of the weights at the current precision.

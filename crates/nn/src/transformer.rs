@@ -11,7 +11,7 @@
 
 use crate::linear::Linear;
 use edgellm_quant::WeightPrecision;
-use edgellm_tensor::ops::{rmsnorm_rows, rope_inplace, silu_inplace, softmax_inplace};
+use edgellm_tensor::ops::{rmsnorm_rows, rope_inplace, rope_table, silu_inplace, softmax_inplace};
 use edgellm_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -218,20 +218,29 @@ impl TinyCausalLm {
         for (i, &tok) in tokens.iter().enumerate() {
             h.row_mut(i).copy_from_slice(self.emb.row(tok as usize));
         }
+        // One `(sin, cos)` table for the rows' positions, shared by q and
+        // k of every head and layer.
+        let rope = rope_table(cfg.head_dim, base..base + t, 10000.0);
 
         for (l, blk) in self.blocks.iter().enumerate() {
             // --- attention ---
+            #[cfg(feature = "trace")]
+            let attention_span = edgellm_trace::span!("attention", "nn");
             let mut xn = h.clone();
             rmsnorm_rows(&mut xn, &blk.norm_attn, 1e-6);
             let mut q = blk.wq.forward(&xn);
             let mut k = blk.wk.forward(&xn);
             let v = blk.wv.forward(&xn);
-            for i in 0..t {
-                rope_inplace(q.row_mut(i), cfg.head_dim, base + i, 10000.0);
-                rope_inplace(k.row_mut(i), cfg.head_dim, base + i, 10000.0);
-                cache.k[l].extend_from_slice(k.row(i));
-                cache.v[l].extend_from_slice(v.row(i));
+            {
+                #[cfg(feature = "trace")]
+                let _span = edgellm_trace::span!("rope", "nn");
+                for (i, sin_cos) in rope.chunks_exact(cfg.head_dim / 2).enumerate() {
+                    rope_inplace(q.row_mut(i), cfg.head_dim, sin_cos);
+                    rope_inplace(k.row_mut(i), cfg.head_dim, sin_cos);
+                }
             }
+            cache.k[l].extend_from_slice(k.as_slice());
+            cache.v[l].extend_from_slice(v.as_slice());
 
             let group = cfg.heads / cfg.kv_heads;
             let scale = 1.0 / (cfg.head_dim as f32).sqrt();
@@ -267,8 +276,12 @@ impl TinyCausalLm {
             for i in 0..t {
                 edgellm_tensor::ops::add_inplace(h.row_mut(i), proj.row(i));
             }
+            #[cfg(feature = "trace")]
+            drop(attention_span);
 
             // --- SwiGLU MLP ---
+            #[cfg(feature = "trace")]
+            let _span = edgellm_trace::span!("mlp", "nn");
             let mut xn = h.clone();
             rmsnorm_rows(&mut xn, &blk.norm_mlp, 1e-6);
             let mut gate = blk.w_gate.forward(&xn);
@@ -284,6 +297,8 @@ impl TinyCausalLm {
         }
         cache.tokens += t;
 
+        #[cfg(feature = "trace")]
+        let _span = edgellm_trace::span!("lm_head", "nn");
         rmsnorm_rows(&mut h, &self.final_norm, 1e-6);
         self.lm_head.forward(&h)
     }

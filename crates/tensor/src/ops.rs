@@ -1,6 +1,11 @@
 //! Elementwise and normalization kernels used by the neural LM stack.
+//!
+//! RoPE is split in two: [`rope_table`] computes a call's `(sin, cos)`
+//! once per position, and [`rope_inplace`] rotates each q and k row from
+//! it.
 
 use crate::tensor::Matrix;
+use std::ops::Range;
 
 /// In-place numerically-stable softmax over each row.
 pub fn softmax_rows(m: &mut Matrix) {
@@ -86,17 +91,28 @@ pub fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
+/// The rotary angles' `(sin, cos)` for every position in `positions`:
+/// `head_dim / 2` entries per position, entry `i` of position `pos` for
+/// the angle `pos · theta^(−2i/head_dim)` — the Llama convention. Each
+/// frequency's `powf` runs once and each angle's `sin_cos` once per
+/// position, however many heads, layers and q/k rows [`rope_inplace`]
+/// then rotates with the table.
+pub fn rope_table(head_dim: usize, positions: Range<usize>, theta: f32) -> Vec<(f32, f32)> {
+    let freqs: Vec<f32> =
+        (0..head_dim / 2).map(|i| theta.powf(-2.0 * i as f32 / head_dim as f32)).collect();
+    positions.flat_map(|pos| freqs.iter().map(move |&freq| (pos as f32 * freq).sin_cos())).collect()
+}
+
 /// Rotary position embedding applied in place to a `(heads*head_dim)` row
-/// for absolute position `pos`. Pairs `(2i, 2i+1)` within each head rotate
-/// by `theta^(−2i/head_dim)·pos` — the Llama convention.
-pub fn rope_inplace(row: &mut [f32], head_dim: usize, pos: usize, theta: f32) {
+/// at one position, whose `head_dim / 2` angles `sin_cos` come from
+/// [`rope_table`]. Pairs `(i, i + head_dim/2)` within each head rotate by
+/// angle `i`.
+pub fn rope_inplace(row: &mut [f32], head_dim: usize, sin_cos: &[(f32, f32)]) {
     assert_eq!(row.len() % head_dim, 0);
     let half = head_dim / 2;
+    assert_eq!(sin_cos.len(), half);
     for head in row.chunks_mut(head_dim) {
-        for i in 0..half {
-            let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
-            let angle = pos as f32 * freq;
-            let (sin, cos) = angle.sin_cos();
+        for (i, &(sin, cos)) in sin_cos.iter().enumerate() {
             let (a, b) = (head[i], head[i + half]);
             head[i] = a * cos - b * sin;
             head[i + half] = a * sin + b * cos;
@@ -195,14 +211,54 @@ mod tests {
         assert!((x[1] - 1.0 / (1.0 + (-1.0f32).exp())).abs() < 1e-6);
     }
 
+    /// RoPE at one position, each pair's angle computed where it is used.
+    fn rope_per_pair(row: &mut [f32], head_dim: usize, pos: usize, theta: f32) {
+        let half = head_dim / 2;
+        for head in row.chunks_mut(head_dim) {
+            for i in 0..half {
+                let freq = theta.powf(-2.0 * i as f32 / head_dim as f32);
+                let (sin, cos) = (pos as f32 * freq).sin_cos();
+                let (a, b) = (head[i], head[i + half]);
+                head[i] = a * cos - b * sin;
+                head[i + half] = a * sin + b * cos;
+            }
+        }
+    }
+
+    /// `rope_inplace` at one position through a one-position table.
+    fn rope_at(row: &mut [f32], head_dim: usize, pos: usize) {
+        rope_inplace(row, head_dim, &rope_table(head_dim, pos..pos + 1, 10000.0));
+    }
+
+    #[test]
+    fn rope_table_is_bitwise_the_per_pair_formula() {
+        for head_dim in [16, 32, 64] {
+            let half = head_dim / 2;
+            let orig: Vec<f32> =
+                Matrix::rand_normal(1, 3 * head_dim, 1.0, head_dim as u64).into_vec();
+            // Two tables that split the range, as a prefill resumed from a
+            // cached prefix builds them.
+            let table =
+                [rope_table(head_dim, 0..1000, 10000.0), rope_table(head_dim, 1000..4096, 10000.0)]
+                    .concat();
+            for (pos, sin_cos) in table.chunks_exact(half).enumerate() {
+                let (mut got, mut want) = (orig.clone(), orig.clone());
+                rope_inplace(&mut got, head_dim, sin_cos);
+                rope_per_pair(&mut want, head_dim, pos, 10000.0);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "head_dim {head_dim} pos {pos}");
+            }
+        }
+    }
+
     #[test]
     fn rope_preserves_norm_and_is_identity_at_pos0() {
         let orig: Vec<f32> = (0..8).map(|i| i as f32 * 0.25 - 1.0).collect();
         let mut r = orig.clone();
-        rope_inplace(&mut r, 4, 0, 10000.0);
+        rope_at(&mut r, 4, 0);
         assert_eq!(r, orig, "position 0 must be identity");
         let mut r = orig.clone();
-        rope_inplace(&mut r, 4, 17, 10000.0);
+        rope_at(&mut r, 4, 17);
         let n0: f32 = orig.iter().map(|v| v * v).sum();
         let n1: f32 = r.iter().map(|v| v * v).sum();
         assert!((n0 - n1).abs() < 1e-4, "rotation must preserve norm");
@@ -217,8 +273,8 @@ mod tests {
         let dot_at = |m: usize, n: usize| {
             let mut qq = q.clone();
             let mut kk = k.clone();
-            rope_inplace(&mut qq, 2, m, 10000.0);
-            rope_inplace(&mut kk, 2, n, 10000.0);
+            rope_at(&mut qq, 2, m);
+            rope_at(&mut kk, 2, n);
             qq[0] * kk[0] + qq[1] * kk[1]
         };
         assert!((dot_at(5, 3) - dot_at(9, 7)).abs() < 1e-4);

@@ -7,6 +7,9 @@
 //! levels for N(0,1)-distributed weights, from the QLoRA paper). Matrix
 //! products dequantize block-by-block — the heavy dequant arithmetic that
 //! drives the INT4 latency/energy penalties in the paper's Figs. 3/10/11.
+//!
+//! Loading picks each code from the two levels that bracket `w / absmax`
+//! (`nearest_level`), the same code a scan of all 16 levels picks.
 
 use crate::matmul::{dot, policy};
 use crate::tensor::Matrix;
@@ -57,21 +60,21 @@ const TILE: usize = 4;
 /// against one decoded tile.
 const GROUP: usize = 8;
 
-/// Nearest codebook index for a normalized value in [−1, 1].
+/// Nearest codebook index for a normalized value in [−1, 1], the lower
+/// index on a tie; NaN maps to 0. Only the two levels that bracket `v`
+/// can be nearest: `fl(v − l)` is monotone in `l`, and the levels lie
+/// too far apart for two of them to round to one distance. So count the
+/// levels ≤ `v` (16 compares, no data-dependent branch) and compare the
+/// two distances, the lower index winning a tie as a first-minimum scan
+/// does. Checked equal to that scan on every f32 in [−1, 1] and NaN
+/// (`nearest_level_matches_the_scan_on_the_unit_interval`, `--ignored`).
 #[inline]
 fn nearest_level(v: f32) -> u8 {
-    // 16 levels: a linear scan is branch-predictable and fast enough; the
-    // real kernels use the same lookup structure.
-    let mut best = 0u8;
-    let mut best_d = f32::INFINITY;
-    for (i, &l) in NF4_LEVELS.iter().enumerate() {
-        let d = (v - l).abs();
-        if d < best_d {
-            best_d = d;
-            best = i as u8;
-        }
-    }
-    best
+    let at_or_below = NF4_LEVELS.iter().filter(|&&l| l <= v).count();
+    let lo = at_or_below.saturating_sub(1);
+    let hi = at_or_below.min(NF4_LEVELS.len() - 1);
+    let nearest = if (v - NF4_LEVELS[hi]).abs() < (v - NF4_LEVELS[lo]).abs() { hi } else { lo };
+    nearest as u8
 }
 
 /// An `(out × in)` weight matrix in blockwise NF4 format.
@@ -450,6 +453,69 @@ mod tests {
         assert_eq!(NF4_LEVELS[0], -1.0);
         assert_eq!(NF4_LEVELS[15], 1.0);
         assert_eq!(NF4_LEVELS[7], 0.0);
+    }
+
+    /// The first-minimum scan over all 16 levels [`nearest_level`]
+    /// must reproduce.
+    fn scan_level(v: f32) -> u8 {
+        let mut best = 0u8;
+        let mut best_d = f32::INFINITY;
+        for (i, &l) in NF4_LEVELS.iter().enumerate() {
+            let d = (v - l).abs();
+            if d < best_d {
+                best_d = d;
+                best = i as u8;
+            }
+        }
+        best
+    }
+
+    fn assert_nearest_level_matches(v: f32) {
+        assert_eq!(nearest_level(v), scan_level(v), "v = {v:e} ({:#010x})", v.to_bits());
+    }
+
+    #[test]
+    fn nearest_level_matches_the_scan_on_a_dense_grid() {
+        const STEPS: i32 = 1 << 18;
+        for i in -STEPS..=STEPS {
+            assert_nearest_level_matches(i as f32 / STEPS as f32);
+        }
+        // Every level and every midpoint, each with its neighbours up to
+        // two ulps away: where the bracket and the tie rule decide.
+        let mids = NF4_LEVELS.windows(2).map(|w| (w[0] + w[1]) / 2.0);
+        for mut v in NF4_LEVELS.into_iter().chain(mids) {
+            for _ in 0..2 {
+                v = v.next_down();
+            }
+            for _ in 0..5 {
+                assert_nearest_level_matches(v);
+                v = v.next_up();
+            }
+        }
+        for v in [0.0, -0.0, f32::NAN, -f32::NAN] {
+            assert_nearest_level_matches(v);
+        }
+    }
+
+    /// Every f32 in [−1, 1] and NaN, the values `w / absmax` can take.
+    /// About 25 s in release on two cores; CI runs it with `--ignored`.
+    #[test]
+    #[ignore = "exhaustive over the 2^31 floats in [-1, 1]; run with --release -- --ignored"]
+    fn nearest_level_matches_the_scan_on_the_unit_interval() {
+        const ONE: u32 = 0x3f80_0000; // 1.0f32.to_bits()
+        let his: Vec<u32> = (0..=ONE >> 24).collect();
+        let mismatches: Vec<u64> = his
+            .par_iter()
+            .map(|&hi| {
+                (hi << 24..=(hi << 24 | 0x00ff_ffff).min(ONE))
+                    .flat_map(|bits| [bits, bits | 1 << 31])
+                    .map(f32::from_bits)
+                    .filter(|&v| nearest_level(v) != scan_level(v))
+                    .count() as u64
+            })
+            .collect();
+        assert_eq!(mismatches.iter().sum::<u64>(), 0);
+        assert_nearest_level_matches(f32::NAN);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! accuracy at 8 bits — and its extra kernel launches/bookkeeping are the
 //! mechanism behind the paper's finding that INT8 *slows down* small models
 //! (§3.3).
+//!
+//! The fused product also quantizes each activation row per call, work
+//! that scales with the inputs, not the MACs: 1/n of a product with n
+//! weight rows. It is one exact pass with no libm call (`round_code`),
+//! so it vectorizes; at `perfbench`'s `rag-int8` shapes (n = 64–512) the
+//! scalar `roundf` loop it replaced took about a quarter of the product.
 
 use crate::matmul::{dot, policy};
 use crate::tensor::Matrix;
@@ -87,6 +93,45 @@ fn idot_x4(x: &[i16], wide: &[i16], w: [&[i8]; TILE]) -> [i32; TILE] {
     out
 }
 
+/// `q.round().clamp(-127.0, 127.0) as i16` — round half away from zero,
+/// saturate to the INT8 code range, NaN to 0 — with no libm call and no
+/// float-to-int cast, so a loop over it vectorizes. The clamp comes first
+/// (rounding is monotone and ±127 are integers, so the order cannot
+/// change a result). Adding 1.5·2^23 to |q| ≤ 127 rounds it to an
+/// integer, half to even, exactly, and leaves that integer in the low
+/// mantissa bits of the sum; `|q|` minus the rounded value is exact, so a
+/// tie shows as exactly 0.5 and moves away from zero. Checked equal to
+/// the libm form on every f32 (`round_code_matches_libm_on_every_f32`,
+/// run with `--ignored`).
+#[inline]
+fn round_code(q: f32) -> i16 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2^23
+    let c = q.clamp(-127.0, 127.0);
+    let a = if c.is_nan() { 0.0 } else { c.abs() };
+    let t = a + MAGIC;
+    let n = (t.to_bits() - MAGIC.to_bits()) as i32 + i32::from(a - (t - MAGIC) == 0.5);
+    (if c.is_sign_negative() { -n } else { n }) as i16
+}
+
+/// Absmax of `x` over eight independent `max` lanes. `f32::max` is
+/// exact and ignores NaN, so the lane order cannot change the result: it
+/// is the sequential fold's, and LLVM vectorizes it.
+#[inline]
+fn absmax(x: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let chunks = x.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            *m = m.max(v.abs());
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = m.max(v.abs());
+    }
+    lanes.into_iter().fold(0.0, f32::max)
+}
+
 /// One activation row, pre-quantized for the fused INT8 product: the
 /// inlier features as INT8 codes (held in i16, the width [`idot_x4`]
 /// multiplies at) with their absmax scale, and the outlier
@@ -161,7 +206,7 @@ impl QInt8Matrix {
             let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
             scales[r] = scale;
             for (j, &c) in inlier_cols.iter().enumerate() {
-                codes[r * n_in + j] = (row[c as usize] / scale).round().clamp(-127.0, 127.0) as i8;
+                codes[r * n_in + j] = round_code(row[c as usize] / scale) as i8;
             }
             for (j, &c) in outlier_cols.iter().enumerate() {
                 outlier_weights[r * n_out + j] = row[c as usize];
@@ -214,18 +259,18 @@ impl QInt8Matrix {
         out
     }
 
-    /// Quantize one activation row for the fused product.
+    /// Quantize one activation row for the fused product, in one
+    /// branch-free pass over its inlier features gathered contiguously
+    /// (a plain copy when there are no outlier columns): the absmax over
+    /// eight `max` lanes, then [`round_code`] of each `v / xs`. The codes
+    /// and scale are those of `(v / xs).round()` over the features in
+    /// column order, bit for bit; with no libm call left, LLVM vectorizes
+    /// the divide, the max and the rounding.
     fn quantize_row(&self, xr: &[f32]) -> QuantizedRow {
-        let mut absmax = 0.0f32;
-        for &c in &self.inlier_cols {
-            absmax = absmax.max(xr[c as usize].abs());
-        }
+        let x: Vec<f32> = self.inlier_cols.iter().map(|&c| xr[c as usize]).collect();
+        let absmax = absmax(&x);
         let xs = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
-        let x_in: Vec<i16> = self
-            .inlier_cols
-            .iter()
-            .map(|&c| (xr[c as usize] / xs).round().clamp(-127.0, 127.0) as i16)
-            .collect();
+        let x_in: Vec<i16> = x.iter().map(|&v| round_code(v / xs)).collect();
         let x_out: Vec<f32> = self.outlier_cols.iter().map(|&c| xr[c as usize]).collect();
         QuantizedRow { x_in, xs, x_out }
     }
@@ -334,7 +379,11 @@ impl QInt8Matrix {
         let mut out = Matrix::zeros(m, n);
         // Quantize every activation row up front (once per row, shared by
         // all dispatch paths and weight rows).
-        let qrows: Vec<QuantizedRow> = (0..m).map(|r| self.quantize_row(x.row(r))).collect();
+        let qrows: Vec<QuantizedRow> = {
+            #[cfg(feature = "trace")]
+            let _t = edgellm_trace::kernels::timer("qint8_nt.quantize", (m * self.cols) as u64);
+            (0..m).map(|r| self.quantize_row(x.row(r))).collect()
+        };
         // Every path runs `fused_tile`: weight-tile outer, batch-row inner,
         // so each code tile is widened to i16 once per call (once per
         // block or segment on the parallel paths) and every row of the
@@ -489,8 +538,19 @@ mod tests {
         assert_eq!(buf.as_slice(), q.to_f32().as_slice());
     }
 
-    /// The tiled product against the per-element reference `fused_elem`,
-    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: m = 1..=9
+    /// `quantize_row` as a plain libm loop: the absmax folded in column
+    /// order, then `(v / xs).round()` per inlier feature.
+    fn reference_row(q: &QInt8Matrix, xr: &[f32]) -> QuantizedRow {
+        let absmax = q.inlier_cols.iter().fold(0.0f32, |m, &c| m.max(xr[c as usize].abs()));
+        let xs = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
+        let x_in = q.inlier_cols.iter().map(|&c| libm_code(xr[c as usize] / xs)).collect();
+        let x_out = q.outlier_cols.iter().map(|&c| xr[c as usize]).collect();
+        QuantizedRow { x_in, xs, x_out }
+    }
+
+    /// The tiled product against the per-element reference `fused_elem`
+    /// over [`reference_row`]'s quantization, bit for bit, on every
+    /// dispatch path at 1, 2 and 8 threads: m = 1..=9
     /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
     /// several column-parallel segments. `k` inputs per row, two of them
     /// planted outlier columns when `outliers` is set; those are detected
@@ -511,8 +571,16 @@ mod tests {
             assert_eq!(q.n_outliers(), if outliers { 2 } else { 0 }, "k={k} n={n}");
             let max_m = if n > 13 { 2 } else { 9 };
             for m in 1..=max_m {
-                let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
-                let qrows: Vec<QuantizedRow> = (0..m).map(|r| q.quantize_row(x.row(r))).collect();
+                let mut x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
+                // The last row has absmax 127, so `xs = 1` and its entries
+                // at ±k.5 reach the rounding as exact ties.
+                for (j, v) in x.row_mut(m - 1).iter_mut().enumerate() {
+                    let tie = (j % 127) as f32 + 0.5;
+                    *v = if j % 2 == 0 { tie } else { -tie };
+                }
+                x.row_mut(m - 1)[0] = 127.0;
+                let qrows: Vec<QuantizedRow> =
+                    (0..m).map(|r| reference_row(&q, x.row(r))).collect();
                 for threads in [1, 2, 8] {
                     for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
                         let y = rayon::with_num_threads(threads, || q.matmul_nt_on(&x, d));
@@ -547,6 +615,77 @@ mod tests {
     fn tiled_matmul_is_bitwise_the_reference_with_outliers() {
         for k in TILED_KS {
             assert_tiled_matches_reference(k, true);
+        }
+    }
+
+    /// The rounding [`round_code`] must reproduce bit for bit.
+    fn libm_code(q: f32) -> i16 {
+        q.round().clamp(-127.0, 127.0) as i16
+    }
+
+    fn assert_round_code_matches(q: f32) {
+        assert_eq!(round_code(q), libm_code(q), "q = {q:e} ({:#010x})", q.to_bits());
+    }
+
+    #[test]
+    fn round_code_matches_libm_on_a_dense_grid_and_the_special_values() {
+        // Every multiple of 2^-8 in [-260, 260] (so every .5 tie and the
+        // clamp edges) and both its neighbours one ulp away.
+        for i in -260 * 256..=260 * 256 {
+            let q = i as f32 / 256.0;
+            for v in [q, q.next_down(), q.next_up()] {
+                assert_round_code_matches(v);
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            0.5f32.next_down(),
+            126.5,
+            127.5,
+            128.0,
+            8_388_608.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+        ];
+        for v in specials {
+            assert_round_code_matches(v);
+            assert_round_code_matches(-v);
+        }
+    }
+
+    /// Every f32 bit pattern, split over the pool. About 20 s in release
+    /// on two cores; CI runs it with `--ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run with --release -- --ignored"]
+    fn round_code_matches_libm_on_every_f32() {
+        let his: Vec<u32> = (0..256).collect();
+        let mismatches: Vec<u64> = his
+            .par_iter()
+            .map(|&hi| {
+                (0..1u32 << 24)
+                    .map(|lo| f32::from_bits(hi << 24 | lo))
+                    .filter(|&q| round_code(q) != libm_code(q))
+                    .count() as u64
+            })
+            .collect();
+        assert_eq!(mismatches.iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn absmax_is_the_sequential_fold() {
+        let mut x: Vec<f32> = Matrix::rand_normal(1, 37, 1.0, 40).as_slice().to_vec();
+        x[5] = f32::NAN;
+        x[30] = -3.5;
+        for n in 0..=x.len() {
+            let seq = x[..n].iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            assert_eq!(absmax(&x[..n]).to_bits(), seq.to_bits(), "n = {n}");
         }
     }
 
