@@ -4,9 +4,8 @@
 //! round-to-nearest-even, handles subnormals, infinities and NaN, and is
 //! property-tested against exactness/monotonicity invariants.
 
-use crate::matmul::{dot, policy};
+use crate::matmul::{dequant_reference, dot, drive, policy};
 use crate::tensor::Matrix;
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// The 65536-entry f16→f32 table: every half-precision bit pattern,
@@ -157,118 +156,64 @@ impl F16Matrix {
         }
     }
 
-    /// Dequantize into a caller-provided matrix (no allocation).
-    pub fn to_f32_into(&self, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, self.cols), "shape mismatch");
-        for r in 0..self.rows {
-            self.dequantize_row_into(r, out.row_mut(r));
-        }
-    }
-
-    /// Dequantize back to `f32`.
-    pub fn to_f32(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.to_f32_into(&mut out);
-        out
-    }
+    dequant_reference!(dequantize_row_into);
 
     /// Storage bytes.
     pub fn bytes(&self) -> usize {
         self.data.len() * 2
     }
 
-    /// `Y = X · Wᵀ` **fused**: weight elements convert f16→f32 inline in
-    /// the dot product (see `f16_dot`) — half the weight memory traffic
-    /// of f32 and no scratch row. Bit-identical to the dequantize-then-dot
-    /// reference; parallelized per [`policy::matmul_quant_nt`].
-    pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let (m, n) = (x.rows, self.rows);
-        let mut out = Matrix::zeros(m, n);
-        if m == 0 || n == 0 {
-            return out;
+    /// The fused tile: `out[i·stride + j]` is the product of activation
+    /// row `r0 + i` and weight row `c0 + j`. One activation row converts
+    /// each weight element inline ([`f16_dot`]); more rows convert each
+    /// weight row to f32 once and [`dot`] every activation row against
+    /// it. `f16_to_f32` is exact and `dot` mirrors `f16_dot`'s lane
+    /// order, so both give the same bits.
+    #[allow(clippy::too_many_arguments)] // internal kernel: tile coordinates are clearer flat than bundled
+    fn tile(
+        &self,
+        x: &Matrix,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        if rows == 1 {
+            let xr = x.row(r0);
+            for (j, o) in out[..cols].iter_mut().enumerate() {
+                *o = f16_dot(xr, self.h_row(c0 + j));
+            }
+            return;
         }
-        let threads = rayon::current_num_threads();
-        // Weight-row-outer / batch-row-inner: each f16 row is streamed
-        // once per batch block and converted inline per use; the small
-        // activation block stays cache-resident. Loop order cannot change
-        // the bits.
-        // Batched blocks convert each weight row to f32 once and share it
-        // across the batch: `f16_to_f32` is exact and `dot` mirrors
-        // `f16_dot`'s lane order, so both variants produce the same bits.
-        let fill_block = |rows: std::ops::Range<usize>, blk: &mut [f32]| {
-            if rows.len() == 1 {
-                let xr = x.row(rows.start);
-                for (c, o) in blk.iter_mut().enumerate() {
-                    *o = f16_dot(xr, self.h_row(c));
-                }
-                return;
-            }
-            let mut wrow = vec![0.0f32; self.cols];
-            for c in 0..n {
-                self.dequantize_row_into(c, &mut wrow);
-                for (i, r) in rows.clone().enumerate() {
-                    blk[i * n + c] = dot(x.row(r), &wrow);
-                }
-            }
-        };
-        let dispatch = policy::matmul_quant_nt(m, n, self.cols, threads);
-        #[cfg(feature = "trace")]
-        let _t = edgellm_trace::kernels::timer(
-            crate::matmul::instrument::pick(
-                dispatch,
-                "f16_nt.serial",
-                "f16_nt.rows",
-                "f16_nt.cols",
-            ),
-            (m * n) as u64 * self.cols as u64,
-        );
-        match dispatch {
-            policy::Dispatch::Serial => fill_block(0..m, out.as_mut_slice()),
-            policy::Dispatch::RowParallel => {
-                let rpu = m.div_ceil(threads).clamp(1, 8);
-                out.as_mut_slice().par_chunks_mut(n * rpu).enumerate().for_each(|(b, blk)| {
-                    let r0 = b * rpu;
-                    fill_block(r0..r0 + blk.len() / n, blk);
-                });
-            }
-            policy::Dispatch::ColParallel => {
-                for r in 0..m {
-                    let xr = x.row(r);
-                    out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
-                        |(cb, seg)| {
-                            let c0 = cb * policy::COL_BLOCK;
-                            for (j, o) in seg.iter_mut().enumerate() {
-                                *o = f16_dot(xr, self.h_row(c0 + j));
-                            }
-                        },
-                    );
-                }
+        let mut wrow = vec![0.0f32; self.cols];
+        for j in 0..cols {
+            self.dequantize_row_into(c0 + j, &mut wrow);
+            for i in 0..rows {
+                out[i * stride + j] = dot(x.row(r0 + i), &wrow);
             }
         }
-        out
     }
 
-    /// Reference dequantize-then-dot product: each weight row is expanded
-    /// into one reused f32 scratch buffer, then dotted. Kept for
-    /// benchmarking the fusion win; bitwise equal to [`Self::matmul_nt`].
-    pub fn matmul_nt_dequant(&self, x: &Matrix) -> Matrix {
+    /// `Y = X · Wᵀ` **fused**: weight elements convert f16→f32 inline in
+    /// the dot product (see `f16_dot`) — half the weight memory traffic
+    /// of f32 and no scratch row. Split per [`policy::matmul_quant_nt`];
+    /// every tile gives the bits of the dequantize-then-dot reference,
+    /// whatever the rows it gets, the dispatch path or the thread count.
+    pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let mut out = Matrix::zeros(x.rows, self.rows);
-        let mut wrow = vec![0.0f32; self.cols];
-        for c in 0..self.rows {
-            self.dequantize_row_into(c, &mut wrow);
-            for r in 0..x.rows {
-                out.set(r, c, dot(x.row(r), &wrow));
-            }
-        }
-        out
+        let labels = ["f16_nt.serial", "f16_nt.rows", "f16_nt.cols"];
+        drive(policy::matmul_quant_nt, labels, (x.rows, self.rows, self.cols), || {
+            move |r0, rows, c0, cols, out, stride| self.tile(x, r0, rows, c0, cols, out, stride)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::tests::assert_every_path_is_the_reference;
 
     #[test]
     fn lut_is_bitwise_equal_to_arithmetic_converter() {
@@ -355,6 +300,23 @@ mod tests {
         let reference = h.matmul_nt_dequant(&x);
         for (a, b) in fused.as_slice().iter().zip(reference.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn every_path_is_bitwise_a_dot_against_the_dequantized_row() {
+        // k = 7: `f16_dot`'s tail only; 75: nine 8-lane chunks and a tail.
+        for k in [7, 75] {
+            assert_every_path_is_the_reference(
+                k,
+                |n| {
+                    let h = F16Matrix::from_f32(&Matrix::rand_kaiming(n, k, n as u64));
+                    let dequantized = h.to_f32();
+                    (h, dequantized)
+                },
+                |(h, _), x| h.matmul_nt(x),
+                |(_, w), xr, c| dot(xr, w.row(c)),
+            );
         }
     }
 

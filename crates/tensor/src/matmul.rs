@@ -1,27 +1,35 @@
-//! Parallel, cache-blocked matrix products.
+//! Parallel, cache-blocked matrix products, and `drive`, the one function
+//! that runs every product's partition.
 //!
 //! The layout convention across the workspace is **NT**: activations are
 //! `(batch × in)` and weights are stored `(out × in)`, so a forward pass is
 //! `Y = X · Wᵀ` — both operands are traversed along contiguous rows, which
 //! keeps the inner loop a pure slice dot product that LLVM vectorizes.
 //!
-//! Two structural properties are load-bearing for the rest of the repo:
+//! Three structural properties are load-bearing for the rest of the repo:
 //!
-//! 1. **Per-element determinism.** Every output element is accumulated in
+//! 1. **One partition.** Each product — f32 NT, NN and TN here, and the
+//!    f16, INT8 and INT4 products — supplies only a tile function that
+//!    fills a block of output rows and columns. [`policy`] decides how the
+//!    output splits into tiles (rows per unit included), and `drive` runs
+//!    that split, allocates the output and times the call under the
+//!    `trace` feature. Products differ only where their formats differ.
+//! 2. **Per-element determinism.** Every output element is accumulated in
 //!    the same floating-point order — the 8-lane order of [`dot`] —
 //!    regardless of batch size, dispatch path (serial / row-parallel /
 //!    column-parallel) or thread count. This is what makes a batched
 //!    prefill bit-identical to token-by-token decode in `edgellm-nn`, and
 //!    every kernel bit-identical across `EDGELLM_THREADS` settings.
-//! 2. **Cache blocking.** The NT kernel walks the weight matrix in
-//!    4-row register tiles and the activations in [`policy::ROW_BLOCK`]-row
+//! 3. **Cache blocking.** The NT tile walks the weight matrix in 4-row
+//!    register tiles and the activations in [`policy::ROW_BLOCK`]-row
 //!    blocks, so each weight tile loaded from memory is reused across the
 //!    whole activation block instead of being re-streamed per row.
 
 use crate::tensor::Matrix;
+use policy::{Dispatch, COL_BLOCK};
 use rayon::prelude::*;
 
-/// Serial/parallel dispatch policy for the matmul kernels.
+/// How each product's output is split into tiles, and when to split it.
 ///
 /// One policy function per kernel family, because the three loop shapes
 /// have different arithmetic intensity and therefore different break-even
@@ -40,22 +48,33 @@ use rayon::prelude::*;
 /// parallelism starts winning once each spawned worker gets at least a few
 /// hundred microseconds of arithmetic, i.e. ≥ ~256k MACs for the plain f32
 /// kernel and ≥ ~64k weight-element decodes for the quantized ones.
+///
+/// A policy also sets the rows of each row-parallel unit, and every
+/// `RowParallel` it returns splits the output into at least two units: a
+/// single unit would run inline on the calling thread, a serial run under
+/// another name.
 pub mod policy {
-    /// How a kernel invocation should be executed.
+    /// How a product's output is split into tiles.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Dispatch {
-        /// Run on the calling thread (problem too small to split).
+        /// One tile over the whole output, on the calling thread (problem
+        /// too small to split).
         Serial,
-        /// Split the output across row blocks, one parallel unit per block.
-        RowParallel,
+        /// Split the output into units of `rows_per_unit` rows (the last
+        /// may hold fewer), one parallel tile each.
+        RowParallel {
+            /// Output rows per parallel unit.
+            rows_per_unit: usize,
+        },
         /// Few output rows but many columns (single-token decode against a
-        /// wide projection): split each output row across column blocks.
+        /// wide projection): split each output row into [`COL_BLOCK`]-column
+        /// tiles.
         ColParallel,
     }
 
-    /// Activation rows per parallel unit / cache block in the NT kernel.
-    /// 16 rows × 4 KiB-ish per row keeps a block resident in L2 while a
-    /// weight tile streams through L1.
+    /// Activation rows per parallel unit of the f32 NT product, and per
+    /// cache block inside its tile. 16 rows × 4 KiB-ish per row keeps a
+    /// block resident in L2 while a weight tile streams through L1.
     pub const ROW_BLOCK: usize = 16;
 
     /// Output columns per parallel unit on the column-parallel path; a
@@ -76,42 +95,49 @@ pub mod policy {
     /// multiply or f16 conversion), so parallelism amortizes sooner.
     pub const QUANT_MIN_ELEMS_PER_THREAD: usize = 64 * 1024;
 
-    /// Dispatch for `matmul_nt` at shape `(m × k) · (n × k)ᵀ`.
+    /// Dispatch for `matmul_nt` at shape `(m × k) · (n × k)ᵀ`. Rows split
+    /// in [`ROW_BLOCK`]-row units when there are at least as many units
+    /// as threads; with fewer, a wide output splits its columns, and
+    /// otherwise rows still split when there are two units or more.
     pub fn matmul_nt(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let macs = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || macs < 2 * NT_MIN_MACS_PER_THREAD {
             return Dispatch::Serial;
         }
         let row_blocks = m.div_ceil(ROW_BLOCK);
-        if row_blocks >= threads {
-            Dispatch::RowParallel
-        } else if n >= 2 * COL_BLOCK {
+        if row_blocks < threads && n >= 2 * COL_BLOCK {
             Dispatch::ColParallel
-        } else if m >= 2 {
-            // A modest row split still beats serial on mid-size batches.
-            Dispatch::RowParallel
+        } else if row_blocks >= 2 {
+            Dispatch::RowParallel { rows_per_unit: ROW_BLOCK }
         } else {
             Dispatch::Serial
         }
     }
 
     /// Dispatch for the NN/TN axpy kernels at `(m × n)` output with shared
-    /// dimension `k`. Their parallel axis is output rows only: a column
-    /// split would tear each `or[c] += xv · wr[c]` pass into strided
-    /// sub-slices and lose the contiguous streaming the kernel is built on.
+    /// dimension `k`: one row per unit. Their parallel axis is output rows
+    /// only: a column split would tear each `or[c] += xv · wr[c]` pass
+    /// into strided sub-slices and lose the contiguous streaming the
+    /// kernel is built on.
     pub fn matmul_axpy(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let macs = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || m < 2 || macs < 2 * AXPY_MIN_MACS_PER_THREAD {
             Dispatch::Serial
         } else {
-            Dispatch::RowParallel
+            Dispatch::RowParallel { rows_per_unit: 1 }
         }
+    }
+
+    /// Rows per unit of the quantized products' row split: an even share
+    /// of `m` per thread, at most eight.
+    fn quant_rows_per_unit(m: usize, threads: usize) -> usize {
+        m.div_ceil(threads).clamp(1, 8)
     }
 
     /// Dispatch for the fused quantized NT kernels (`QInt4Matrix`,
     /// `F16Matrix`) at `(m × k) · (n × k)ᵀ`.
     ///
-    /// The INT4 product also picks its kernel by the rows each unit
+    /// The INT4 product also picks its kernel by the rows each tile
     /// gets, a crossover measured serially on a 2-vCPU x86-64 VM and
     /// recorded in `QInt4Matrix::fused_tile`: one row reads the packed
     /// nibbles directly (decoding the tile first took about 2× as long
@@ -126,7 +152,7 @@ pub mod policy {
         if threads <= 1 || elems < 2 * QUANT_MIN_ELEMS_PER_THREAD {
             Dispatch::Serial
         } else if m >= threads {
-            Dispatch::RowParallel
+            Dispatch::RowParallel { rows_per_unit: quant_rows_per_unit(m, threads) }
         } else if n >= 2 {
             // Decode shapes (m = 1) split the single output row across
             // weight-row blocks.
@@ -152,40 +178,126 @@ pub mod policy {
     /// the Phi-2 decode shape in 6.8 ms against 31.3 ms for
     /// dequantize-then-dot and 8.7 ms for int4_fused, and its Phi-2 cost
     /// grows 4.5× from m = 1 to m = 8 (`BENCH_kernels.json`) — so decode
-    /// shapes stay serial and batched shapes keep the row split. The
-    /// shared tile needs no row threshold here: it measured no loss at
-    /// m = 1. Neither split has been re-timed on a multi-core host since.
+    /// shapes stay serial and batched shapes keep the row split, in the
+    /// units of [`matmul_quant_nt`]. The shared tile needs no row
+    /// threshold here: it measured no loss at m = 1. Neither split has
+    /// been re-timed on a multi-core host since.
     pub fn matmul_int8_nt(m: usize, n: usize, k: usize, threads: usize) -> Dispatch {
         let elems = m.saturating_mul(n).saturating_mul(k.max(1));
         if threads <= 1 || m < 2 || elems < 2 * QUANT_MIN_ELEMS_PER_THREAD {
             Dispatch::Serial
         } else {
-            Dispatch::RowParallel
+            Dispatch::RowParallel { rows_per_unit: quant_rows_per_unit(m, threads) }
         }
     }
 }
 
-/// Static kernel-variant labels for the `trace` feature's per-variant
-/// counters (`kernel.<variant>.{calls, macs, ns}`). Compiled out — along
-/// with every timer call site — in the default build.
-#[cfg(feature = "trace")]
-pub(crate) mod instrument {
-    use super::policy::Dispatch;
-
-    /// Pick the `<base>.<path>` label matching a dispatch decision.
-    pub(crate) fn pick(
-        d: Dispatch,
-        serial: &'static str,
-        rows: &'static str,
-        cols: &'static str,
-    ) -> &'static str {
-        match d {
-            Dispatch::Serial => serial,
-            Dispatch::RowParallel => rows,
-            Dispatch::ColParallel => cols,
+/// Run one `(m × n)` product with shared dimension `k`: allocate the
+/// output, return it at once when it is empty, split it as `policy`
+/// decides at the current thread count, and fill it through the tile
+/// that `tile()` builds. The tile `t(r0, rows, c0, cols, out, stride)`
+/// sets `out[i·stride + j]` to output element `(r0 + i, c0 + j)` for
+/// `i < rows` and `j < cols`.
+///
+/// * `Serial` hands the tile every row in one call, so work a tile does
+///   once per call (INT8 widening, INT4 decoding a weight tile) is done
+///   once per product.
+/// * `RowParallel` runs one call per unit of rows.
+/// * `ColParallel` runs, row by row, one call per [`COL_BLOCK`] columns.
+///
+/// Under the `trace` feature the call is timed as
+/// `kernel.<label>.{calls, macs, ns}`, the label picked from `labels`
+/// (serial, rows, cols) by the path taken; `tile()` runs inside that
+/// timer, so per-call preparation such as INT8's activation quantization
+/// counts toward the product.
+pub(crate) fn drive<T>(
+    policy: fn(usize, usize, usize, usize) -> Dispatch,
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))] labels: [&'static str; 3],
+    (m, n, k): (usize, usize, usize),
+    tile: impl FnOnce() -> T,
+) -> Matrix
+where
+    T: Fn(usize, usize, usize, usize, &mut [f32], usize) + Sync,
+{
+    let mut out = Matrix::zeros(m, n);
+    if m == 0 || n == 0 {
+        return out;
+    }
+    let dispatch = policy(m, n, k, rayon::current_num_threads());
+    #[cfg(test)]
+    let dispatch = tests::FORCED.get().unwrap_or(dispatch);
+    #[cfg(feature = "trace")]
+    let _t = edgellm_trace::kernels::timer(
+        match dispatch {
+            Dispatch::Serial => labels[0],
+            Dispatch::RowParallel { .. } => labels[1],
+            Dispatch::ColParallel => labels[2],
+        },
+        (m * n) as u64 * k as u64,
+    );
+    let tile = tile();
+    match dispatch {
+        Dispatch::Serial => tile(0, m, 0, n, out.as_mut_slice(), n),
+        Dispatch::RowParallel { rows_per_unit } => {
+            out.as_mut_slice()
+                .par_chunks_mut(n * rows_per_unit)
+                .enumerate()
+                .for_each(|(u, unit)| tile(u * rows_per_unit, unit.len() / n, 0, n, unit, n));
+        }
+        Dispatch::ColParallel => {
+            for r in 0..m {
+                out.row_mut(r).par_chunks_mut(COL_BLOCK).enumerate().for_each(|(s, seg)| {
+                    let cols = seg.len();
+                    tile(r, 1, s * COL_BLOCK, cols, seg, cols);
+                });
+            }
         }
     }
+    out
 }
+
+/// The dequantize-then-dot reference and the whole-matrix decode that the
+/// f16, INT8 and INT4 weight formats share: expanded inside a format's
+/// `impl` block, over its row decoder `$decode_row(r, out)`.
+macro_rules! dequant_reference {
+    ($decode_row:ident) => {
+        /// Dequantize into a caller-provided matrix (no allocation).
+        pub fn to_f32_into(&self, out: &mut $crate::Matrix) {
+            assert_eq!((out.rows, out.cols), (self.rows, self.cols), "shape mismatch");
+            for r in 0..self.rows {
+                self.$decode_row(r, out.row_mut(r));
+            }
+        }
+
+        /// Dequantize to `f32`.
+        pub fn to_f32(&self) -> $crate::Matrix {
+            let mut out = $crate::Matrix::zeros(self.rows, self.cols);
+            self.to_f32_into(&mut out);
+            out
+        }
+
+        /// Reference dequantize-then-dot product: each weight row is
+        /// decoded into one reused f32 scratch row, then dotted against
+        /// the f32 activations. Kept for benchmarking the fusion win and
+        /// for accuracy cross-checks. Bitwise equal to the fused f16
+        /// product; the fused INT8 product also quantizes the activations
+        /// and the INT4 one sums block by block, so theirs agree only to
+        /// rounding.
+        pub fn matmul_nt_dequant(&self, x: &$crate::Matrix) -> $crate::Matrix {
+            assert_eq!(x.cols, self.cols, "inner dimensions must match");
+            let mut out = $crate::Matrix::zeros(x.rows, self.rows);
+            let mut wrow = vec![0.0f32; self.cols];
+            for c in 0..self.rows {
+                self.$decode_row(c, &mut wrow);
+                for r in 0..x.rows {
+                    out.set(r, c, $crate::matmul::dot(x.row(r), &wrow));
+                }
+            }
+            out
+        }
+    };
+}
+pub(crate) use dequant_reference;
 
 /// Dot product of two equal-length slices.
 ///
@@ -248,39 +360,41 @@ fn dot_x4(x: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32], out: &mut [
     }
 }
 
-/// The shared NT tiling helper: fill an output tile where
-/// `out[r·stride + j] = dot(x.row(r0 + r), w.row(c0 + j))` for
-/// `r < rows`, `j < cols`.
-///
-/// Loop order is weight-tile outer, activation-row inner, so a 4-row weight
-/// tile is loaded once and reused across the whole activation block.
+/// The f32 NT tile: `out[i·stride + j] = dot(x.row(r0 + i), w.row(c0 + j))`
+/// for `i < rows`, `j < cols`. Activation rows go in [`policy::ROW_BLOCK`]-row
+/// blocks; within a block the loop is weight-tile outer, activation-row
+/// inner, so a 4-row weight tile is loaded once and reused across the
+/// whole block.
 #[allow(clippy::too_many_arguments)] // internal kernel: tile coordinates are clearer flat than bundled
 fn nt_tile(
     x: &Matrix,
     w: &Matrix,
     r0: usize,
-    c0: usize,
     rows: usize,
+    c0: usize,
     cols: usize,
     out: &mut [f32],
     stride: usize,
 ) {
-    let mut j = 0;
-    while j + 4 <= cols {
-        let c = c0 + j;
-        let (w0, w1, w2, w3) = (w.row(c), w.row(c + 1), w.row(c + 2), w.row(c + 3));
-        for r in 0..rows {
-            let base = r * stride + j;
-            dot_x4(x.row(r0 + r), w0, w1, w2, w3, &mut out[base..base + 4]);
+    for b in (0..rows).step_by(policy::ROW_BLOCK) {
+        let block = b..rows.min(b + policy::ROW_BLOCK);
+        let mut j = 0;
+        while j + 4 <= cols {
+            let c = c0 + j;
+            let (w0, w1, w2, w3) = (w.row(c), w.row(c + 1), w.row(c + 2), w.row(c + 3));
+            for r in block.clone() {
+                let base = r * stride + j;
+                dot_x4(x.row(r0 + r), w0, w1, w2, w3, &mut out[base..base + 4]);
+            }
+            j += 4;
         }
-        j += 4;
-    }
-    while j < cols {
-        let wc = w.row(c0 + j);
-        for r in 0..rows {
-            out[r * stride + j] = dot(x.row(r0 + r), wc);
+        while j < cols {
+            let wc = w.row(c0 + j);
+            for r in block.clone() {
+                out[r * stride + j] = dot(x.row(r0 + r), wc);
+            }
+            j += 1;
         }
-        j += 1;
     }
 }
 
@@ -292,76 +406,35 @@ fn nt_tile(
 /// or thread count.
 pub fn matmul_nt(x: &Matrix, w: &Matrix) -> Matrix {
     assert_eq!(x.cols, w.cols, "inner dimensions must match (NT layout)");
-    let (m, n) = (x.rows, w.rows);
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return out;
-    }
-    let dispatch = policy::matmul_nt(m, n, x.cols, rayon::current_num_threads());
-    #[cfg(feature = "trace")]
-    let _t = edgellm_trace::kernels::timer(
-        instrument::pick(dispatch, "matmul_nt.serial", "matmul_nt.rows", "matmul_nt.cols"),
-        (m * n) as u64 * x.cols as u64,
-    );
-    match dispatch {
-        policy::Dispatch::Serial => {
-            let o = out.as_mut_slice();
-            for r0 in (0..m).step_by(policy::ROW_BLOCK) {
-                let rows = policy::ROW_BLOCK.min(m - r0);
-                nt_tile(x, w, r0, 0, rows, n, &mut o[r0 * n..(r0 + rows) * n], n);
-            }
-        }
-        policy::Dispatch::RowParallel => {
-            out.as_mut_slice().par_chunks_mut(n * policy::ROW_BLOCK).enumerate().for_each(
-                |(b, blk)| {
-                    let r0 = b * policy::ROW_BLOCK;
-                    nt_tile(x, w, r0, 0, blk.len() / n, n, blk, n);
-                },
-            );
-        }
-        policy::Dispatch::ColParallel => {
-            for r in 0..m {
-                out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
-                    |(cb, seg)| {
-                        nt_tile(x, w, r, cb * policy::COL_BLOCK, 1, seg.len(), seg, seg.len());
-                    },
-                );
-            }
-        }
-    }
-    out
+    let labels = ["matmul_nt.serial", "matmul_nt.rows", "matmul_nt.cols"];
+    drive(policy::matmul_nt, labels, (x.rows, w.rows, x.cols), || {
+        move |r0, rows, c0, cols, out, stride| nt_tile(x, w, r0, rows, c0, cols, out, stride)
+    })
 }
 
-/// The shared NN/TN row kernel: `or += Σ_kk xr[kk] · w.row(kk)`, skipping
-/// zero activations. Accumulation order is fixed by `kk`, independent of
-/// how rows are distributed across threads.
-#[inline]
-fn axpy_row(xr: &[f32], w: &Matrix, or: &mut [f32]) {
-    for (kk, &xv) in xr.iter().enumerate() {
-        if xv != 0.0 {
-            let wr = w.row(kk);
-            for (o, &wv) in or.iter_mut().zip(wr) {
-                *o += xv * wv;
+/// The NN/TN tile: output row `i` (columns `c0..c0 + cols`) accumulates
+/// `Σ_kk x[r0 + i][kk] · w.row(kk)` over ascending `kk`, skipping zero
+/// activations. The order is fixed by `kk`, independent of how rows and
+/// columns are split.
+#[allow(clippy::too_many_arguments)] // internal kernel: tile coordinates are clearer flat than bundled
+fn axpy_tile(
+    x: &Matrix,
+    w: &Matrix,
+    r0: usize,
+    rows: usize,
+    c0: usize,
+    cols: usize,
+    out: &mut [f32],
+    stride: usize,
+) {
+    for i in 0..rows {
+        let or = &mut out[i * stride..i * stride + cols];
+        for (kk, &xv) in x.row(r0 + i).iter().enumerate() {
+            if xv != 0.0 {
+                for (o, &wv) in or.iter_mut().zip(&w.row(kk)[c0..c0 + cols]) {
+                    *o += xv * wv;
+                }
             }
-        }
-    }
-}
-
-/// Shared serial/parallel driver for the row-accumulating kernels: runs
-/// `body(r, out_row)` for every output row under the axpy dispatch policy.
-fn axpy_driver(out: &mut Matrix, k: usize, body: impl Fn(usize, &mut [f32]) + Sync) {
-    let (m, n) = (out.rows, out.cols);
-    if m == 0 || n == 0 {
-        return;
-    }
-    match policy::matmul_axpy(m, n, k, rayon::current_num_threads()) {
-        policy::Dispatch::Serial => {
-            for r in 0..m {
-                body(r, out.row_mut(r));
-            }
-        }
-        _ => {
-            out.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(r, or)| body(r, or));
         }
     }
 }
@@ -373,46 +446,137 @@ fn axpy_driver(out: &mut Matrix, k: usize, body: impl Fn(usize, &mut [f32]) + Sy
 /// this accumulates row-by-row instead.
 pub fn matmul_nn(x: &Matrix, w: &Matrix) -> Matrix {
     assert_eq!(x.cols, w.rows, "inner dimensions must match (NN layout)");
-    let mut out = Matrix::zeros(x.rows, w.cols);
-    #[cfg(feature = "trace")]
-    let _t = edgellm_trace::kernels::timer(
-        instrument::pick(
-            policy::matmul_axpy(x.rows, w.cols, x.cols, rayon::current_num_threads()),
-            "matmul_nn.serial",
-            "matmul_nn.rows",
-            "matmul_nn.rows",
-        ),
-        (x.rows * w.cols) as u64 * x.cols as u64,
-    );
-    axpy_driver(&mut out, x.cols, |r, or| axpy_row(x.row(r), w, or));
-    out
+    let labels = ["matmul_nn.serial", "matmul_nn.rows", "matmul_nn.cols"];
+    drive(policy::matmul_axpy, labels, (x.rows, w.cols, x.cols), || {
+        move |r0, rows, c0, cols, out, stride| axpy_tile(x, w, r0, rows, c0, cols, out, stride)
+    })
 }
 
 /// `Y = Xᵀ · W`: `X` is `(k × m)`, `w` is `(k × n)`, result `(m × n)`.
 /// The gradient-of-weights shape in backprop (`dW = dYᵀ · X`).
 pub fn matmul_tn(x: &Matrix, w: &Matrix) -> Matrix {
     assert_eq!(x.rows, w.rows, "inner dimensions must match (TN layout)");
-    let mut out = Matrix::zeros(x.cols, w.cols);
-    #[cfg(feature = "trace")]
-    let _t = edgellm_trace::kernels::timer(
-        instrument::pick(
-            policy::matmul_axpy(x.cols, w.cols, x.rows, rayon::current_num_threads()),
-            "matmul_tn.serial",
-            "matmul_tn.rows",
-            "matmul_tn.rows",
-        ),
-        (x.cols * w.cols) as u64 * x.rows as u64,
-    );
-    // Accumulate outer products row-by-row of the shared k dimension,
-    // through a transposed view of x so rows parallelize like NN.
-    let xt = x.transposed(); // (m × k)
-    axpy_driver(&mut out, x.rows, |r, or| axpy_row(xt.row(r), w, or));
-    out
+    let labels = ["matmul_tn.serial", "matmul_tn.rows", "matmul_tn.cols"];
+    drive(policy::matmul_axpy, labels, (x.cols, w.cols, x.rows), || {
+        // Accumulate outer products row-by-row of the shared k dimension,
+        // through a transposed view of x so rows split like NN.
+        let xt = x.transposed(); // (m × k)
+        move |r0, rows, c0, cols, out, stride| axpy_tile(&xt, w, r0, rows, c0, cols, out, stride)
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The dispatch [`drive`] runs in place of the policy's while
+        /// [`assert_every_path_is_the_reference`] forces one.
+        pub(super) static FORCED: Cell<Option<Dispatch>> = const { Cell::new(None) };
+    }
+
+    /// Every split `drive` runs: serial; row units of 1, 3, 8 and 16
+    /// rows (single rows, leftover rows only, one INT4 group, two); and
+    /// the column split.
+    const PATHS: [Dispatch; 6] = [
+        Dispatch::Serial,
+        Dispatch::RowParallel { rows_per_unit: 1 },
+        Dispatch::RowParallel { rows_per_unit: 3 },
+        Dispatch::RowParallel { rows_per_unit: 8 },
+        Dispatch::RowParallel { rows_per_unit: 16 },
+        Dispatch::ColParallel,
+    ];
+
+    /// A product against its per-element reference, bit for bit, through
+    /// [`drive`] on every split of [`PATHS`] at 1, 2 and 8 threads:
+    /// `product(w, x)` for m = 1..=17 and 24 activation rows of `k`
+    /// inputs against `w = weights(n)` for n = 1..=13 (every `n % 4`
+    /// tail) and one n whose rows span three column segments. Element
+    /// `(r, c)` must equal `reference(w, x.row(r), c)`. The last
+    /// activation row has absmax 127 and every other entry at ±j.5, so
+    /// INT8's rounding meets exact ties.
+    pub(crate) fn assert_every_path_is_the_reference<W>(
+        k: usize,
+        weights: impl Fn(usize) -> W,
+        product: impl Fn(&W, &Matrix) -> Matrix,
+        reference: impl Fn(&W, &[f32], usize) -> f32,
+    ) {
+        for n in (1..=13).chain([2 * COL_BLOCK + 5]) {
+            let w = weights(n);
+            for m in (1..=17).chain([24]) {
+                let mut x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
+                for (j, v) in x.row_mut(m - 1).iter_mut().enumerate() {
+                    let tie = (j % 127) as f32 + 0.5;
+                    *v = if j % 2 == 0 { tie } else { -tie };
+                }
+                x.row_mut(m - 1)[0] = 127.0;
+                let want: Vec<u32> =
+                    (0..m * n).map(|i| reference(&w, x.row(i / n), i % n).to_bits()).collect();
+                for threads in [1, 2, 8] {
+                    for d in PATHS {
+                        FORCED.set(Some(d));
+                        let y = rayon::with_num_threads(threads, || product(&w, &x));
+                        FORCED.set(None);
+                        assert_eq!((y.rows, y.cols), (m, n));
+                        for (i, (got, &want)) in y.as_slice().iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want,
+                                "({}, {}) of m={m} n={n} k={k}, {d:?}, {threads} threads",
+                                i / n,
+                                i % n
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Element `c` of `xr · w` accumulated in [`axpy_tile`]'s order.
+    fn axpy_elem(xr: &[f32], w: &Matrix, c: usize) -> f32 {
+        let mut s = 0.0;
+        for (kk, &xv) in xr.iter().enumerate() {
+            if xv != 0.0 {
+                s += xv * w.get(kk, c);
+            }
+        }
+        s
+    }
+
+    /// k = 7 is under one 8-lane chunk of [`dot`] (tail only), 75 nine
+    /// chunks and a 3-element tail.
+    const KS: [usize; 2] = [7, 75];
+
+    #[test]
+    fn every_path_of_matmul_nt_is_bitwise_a_dot_product() {
+        for k in KS {
+            assert_every_path_is_the_reference(
+                k,
+                |n| Matrix::rand_kaiming(n, k, n as u64),
+                |w, x| matmul_nt(x, w),
+                |w, xr, c| dot(xr, w.row(c)),
+            );
+        }
+    }
+
+    #[test]
+    fn every_path_of_matmul_nn_and_tn_is_bitwise_the_axpy_order() {
+        for k in KS {
+            // Both take the weights untransposed, `(k × n)`; TN takes the
+            // activations transposed.
+            let weights = |n| Matrix::rand_kaiming(k, n, n as u64);
+            let reference = |w: &Matrix, xr: &[f32], c| axpy_elem(xr, w, c);
+            assert_every_path_is_the_reference(k, weights, |w, x| matmul_nn(x, w), reference);
+            assert_every_path_is_the_reference(
+                k,
+                weights,
+                |w, x| matmul_tn(&x.transposed(), w),
+                reference,
+            );
+        }
+    }
 
     fn naive_nt(x: &Matrix, w: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(x.rows, w.rows);
@@ -462,7 +626,8 @@ mod tests {
     #[test]
     fn every_element_is_bitwise_a_dot_product() {
         // The micro-kernel/tiling contract: each output element equals
-        // dot(x row, w row) to the bit, on every dispatch path.
+        // dot(x row, w row) to the bit, on the path the policy picks
+        // (`every_path_of_matmul_nt_is_bitwise_a_dot_product` forces each).
         for (m, n, k) in [(7, 9, 33), (33, 128, 96), (1, 2100, 64), (16, 16, 8)] {
             let x = Matrix::rand_kaiming(m, k, (m * n) as u64);
             let w = Matrix::rand_kaiming(n, k, (m + n) as u64);
@@ -521,6 +686,11 @@ mod tests {
     mod policy_tests {
         use super::super::policy::*;
 
+        /// A row split in units of `rows_per_unit` rows.
+        fn rows(rows_per_unit: usize) -> Dispatch {
+            Dispatch::RowParallel { rows_per_unit }
+        }
+
         #[test]
         fn tiny_problems_stay_serial() {
             assert_eq!(matmul_nt(4, 4, 4, 8), Dispatch::Serial);
@@ -537,9 +707,64 @@ mod tests {
 
         #[test]
         fn batched_large_problems_split_rows() {
-            assert_eq!(matmul_nt(256, 1024, 1024, 4), Dispatch::RowParallel);
-            assert_eq!(matmul_axpy(256, 1024, 1024, 4), Dispatch::RowParallel);
-            assert_eq!(matmul_quant_nt(32, 1024, 1024, 4), Dispatch::RowParallel);
+            assert_eq!(matmul_nt(256, 1024, 1024, 4), rows(16));
+            assert_eq!(matmul_axpy(256, 1024, 1024, 4), rows(1));
+            assert_eq!(matmul_quant_nt(32, 1024, 1024, 4), rows(8));
+        }
+
+        #[test]
+        fn each_family_sets_its_rows_per_unit() {
+            // f32 NT: ROW_BLOCK rows.
+            assert_eq!(matmul_nt(64, 512, 256, 2), rows(16));
+            // NN/TN: one row.
+            assert_eq!(matmul_axpy(3, 4096, 512, 8), rows(1));
+            // Quantized: an even share of rows per thread, at most eight.
+            assert_eq!(matmul_quant_nt(5, 1024, 1024, 4), rows(2));
+            assert_eq!(matmul_quant_nt(12, 1024, 1024, 8), rows(2));
+            assert_eq!(matmul_quant_nt(100, 1024, 1024, 2), rows(8));
+            assert_eq!(matmul_int8_nt(5, 1024, 1024, 2), rows(3));
+            assert_eq!(matmul_int8_nt(2, 1024, 1024, 8), rows(1));
+        }
+
+        #[test]
+        fn a_one_unit_f32_row_split_stays_serial() {
+            // At most ROW_BLOCK rows and too few columns for a column
+            // split: a row split would be one unit, run inline.
+            assert_eq!(matmul_nt(8, 512, 256, 4), Dispatch::Serial);
+            assert_eq!(matmul_nt(16, 1000, 1024, 8), Dispatch::Serial);
+            // Two units or more still split, even with fewer than threads.
+            assert_eq!(matmul_nt(17, 512, 256, 4), rows(16));
+        }
+
+        #[test]
+        fn every_row_split_yields_two_units_or_more() {
+            type Policy = fn(usize, usize, usize, usize) -> Dispatch;
+            let policies: [(&str, Policy); 4] = [
+                ("matmul_nt", matmul_nt),
+                ("matmul_axpy", matmul_axpy),
+                ("matmul_quant_nt", matmul_quant_nt),
+                ("matmul_int8_nt", matmul_int8_nt),
+            ];
+            let mut splits = 0;
+            for (name, policy) in policies {
+                for m in (0..=40).chain([63, 64, 65, 256]) {
+                    for n in [1, 2, 64, 512, 1023, 1024, 4096] {
+                        for k in [1, 64, 256, 1024, 4096] {
+                            for threads in 1..=8 {
+                                let d = policy(m, n, k, threads);
+                                if let Dispatch::RowParallel { rows_per_unit } = d {
+                                    assert!(
+                                        rows_per_unit >= 1 && m.div_ceil(rows_per_unit) >= 2,
+                                        "{name}({m}, {n}, {k}, {threads}) = {d:?}"
+                                    );
+                                    splits += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(splits > 0);
         }
 
         #[test]
@@ -566,11 +791,11 @@ mod tests {
             assert_eq!(matmul_int8_nt(1, 14_336, 4_096, 4), Dispatch::Serial);
             // Verify-batch shapes (m = 2..8) row-split instead of
             // column-splitting; m = 1 threads ≫ elems stays serial too.
-            assert_eq!(matmul_int8_nt(4, 10_240, 2_560, 4), Dispatch::RowParallel);
+            assert_eq!(matmul_int8_nt(4, 10_240, 2_560, 4), rows(1));
             assert_eq!(matmul_int8_nt(1, 16, 64, 8), Dispatch::Serial);
             assert_eq!(matmul_int8_nt(512, 4096, 4096, 1), Dispatch::Serial);
             // Batched prefill keeps its row split.
-            assert_eq!(matmul_int8_nt(32, 10_240, 2_560, 4), Dispatch::RowParallel);
+            assert_eq!(matmul_int8_nt(32, 10_240, 2_560, 4), rows(8));
         }
     }
 }

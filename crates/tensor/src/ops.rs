@@ -7,14 +7,6 @@
 use crate::tensor::Matrix;
 use std::ops::Range;
 
-/// In-place numerically-stable softmax over each row.
-pub fn softmax_rows(m: &mut Matrix) {
-    let cols = m.cols;
-    for r in 0..m.rows {
-        softmax_inplace(&mut m.row_mut(r)[..cols]);
-    }
-}
-
 /// In-place numerically-stable softmax over a slice.
 pub fn softmax_inplace(x: &mut [f32]) {
     let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -45,22 +37,6 @@ pub fn rmsnorm_rows(m: &mut Matrix, gain: &[f32], eps: f32) {
         let inv = 1.0 / (ms + eps).sqrt();
         for (v, g) in row.iter_mut().zip(gain) {
             *v = *v * inv * g;
-        }
-    }
-}
-
-/// In-place LayerNorm over each row with learned gain and bias (Phi-style).
-pub fn layernorm_rows(m: &mut Matrix, gain: &[f32], bias: &[f32], eps: f32) {
-    assert_eq!(m.cols, gain.len());
-    assert_eq!(m.cols, bias.len());
-    for r in 0..m.rows {
-        let row = m.row_mut(r);
-        let n = row.len() as f32;
-        let mean: f32 = row.iter().sum::<f32>() / n;
-        let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let inv = 1.0 / (var + eps).sqrt();
-        for ((v, g), b) in row.iter_mut().zip(gain).zip(bias) {
-            *v = (*v - mean) * inv * g + b;
         }
     }
 }
@@ -169,16 +145,6 @@ mod tests {
         rmsnorm_rows(&mut m, &[1.0; 4], 1e-6);
         let ms: f32 = m.row(0).iter().map(|v| v * v).sum::<f32>() / 4.0;
         assert!((ms - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn layernorm_centers_and_scales() {
-        let mut m = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        layernorm_rows(&mut m, &[1.0; 4], &[0.0; 4], 1e-6);
-        let mean: f32 = m.row(0).iter().sum::<f32>() / 4.0;
-        let var: f32 = m.row(0).iter().map(|v| v * v).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! Loading picks each code from the two levels that bracket `w / absmax`
 //! (`nearest_level`), the same code a scan of all 16 levels picks.
 
-use crate::matmul::{dot, policy};
+use crate::matmul::{dequant_reference, drive, policy};
 use crate::tensor::Matrix;
-use rayon::prelude::*;
 
 /// Elements per quantization block (BitsAndBytes default is 64).
 pub const BLOCK: usize = 64;
@@ -144,20 +143,7 @@ impl QInt4Matrix {
         }
     }
 
-    /// Dequantize into a caller-provided matrix (no allocation).
-    pub fn to_f32_into(&self, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, self.cols), "shape mismatch");
-        for r in 0..self.rows {
-            self.decode_row_into(r, out.row_mut(r));
-        }
-    }
-
-    /// Dequantize to f32.
-    pub fn to_f32(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.to_f32_into(&mut out);
-        out
-    }
+    dequant_reference!(decode_row_into);
 
     /// The `BLOCK / 2` packed bytes of block `b` of weight row `c`. Blocks
     /// are padded to `BLOCK` codes, so the bytes always exist; `BLOCK` is
@@ -373,77 +359,26 @@ impl QInt4Matrix {
     }
 
     /// `Y = X · Wᵀ` **fused**: accumulates directly from the packed 4-bit
-    /// codes (see `fused_dot`), parallelized per
-    /// [`policy::matmul_quant_nt`]. Every dispatch path runs the same
-    /// four-row register tile, whose variants all produce `fused_dot`'s
-    /// bits, so outputs never depend on the batch size, dispatch path or
-    /// thread count.
+    /// codes (see `fused_dot`), split per [`policy::matmul_quant_nt`].
+    /// Every tile runs the same four-row register tile, whose variants all
+    /// produce `fused_dot`'s bits, so outputs never depend on the batch
+    /// size, dispatch path or thread count.
     pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let (m, n) = (x.rows, self.rows);
-        if m == 0 || n == 0 {
-            return Matrix::zeros(m, n);
-        }
-        let dispatch = policy::matmul_quant_nt(m, n, self.cols, rayon::current_num_threads());
-        #[cfg(feature = "trace")]
-        let _t = edgellm_trace::kernels::timer(
-            crate::matmul::instrument::pick(
-                dispatch,
-                "qint4_nt.serial",
-                "qint4_nt.rows",
-                "qint4_nt.cols",
-            ),
-            (m * n) as u64 * self.cols as u64,
-        );
-        self.matmul_nt_on(x, dispatch)
-    }
-
-    /// [`Self::matmul_nt`] on a given dispatch path (`x` non-empty).
-    fn matmul_nt_on(&self, x: &Matrix, dispatch: policy::Dispatch) -> Matrix {
-        let (m, n) = (x.rows, self.rows);
-        let mut out = Matrix::zeros(m, n);
-        match dispatch {
-            policy::Dispatch::Serial => self.fused_tile(x, 0, m, 0, n, out.as_mut_slice(), n),
-            policy::Dispatch::RowParallel => {
-                let rpu = m.div_ceil(rayon::current_num_threads()).clamp(1, 8);
-                out.as_mut_slice().par_chunks_mut(n * rpu).enumerate().for_each(|(b, blk)| {
-                    self.fused_tile(x, b * rpu, blk.len() / n, 0, n, blk, n);
-                });
+        let labels = ["qint4_nt.serial", "qint4_nt.rows", "qint4_nt.cols"];
+        drive(policy::matmul_quant_nt, labels, (x.rows, self.rows, self.cols), || {
+            move |r0, rows, c0, cols, out, stride| {
+                self.fused_tile(x, r0, rows, c0, cols, out, stride)
             }
-            policy::Dispatch::ColParallel => {
-                for r in 0..m {
-                    out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
-                        |(cb, seg)| {
-                            let cols = seg.len();
-                            self.fused_tile(x, r, 1, cb * policy::COL_BLOCK, cols, seg, cols);
-                        },
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Reference dequantize-then-dot product: each weight row is decoded
-    /// into one reused f32 scratch buffer, then dotted. Kept for
-    /// benchmarking the fusion win and for accuracy cross-checks.
-    pub fn matmul_nt_dequant(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let mut out = Matrix::zeros(x.rows, self.rows);
-        let mut wrow = vec![0.0f32; self.cols];
-        for c in 0..self.rows {
-            self.decode_row_into(c, &mut wrow);
-            for r in 0..x.rows {
-                out.set(r, c, dot(x.row(r), &wrow));
-            }
-        }
-        out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::tests::assert_every_path_is_the_reference;
+    use rayon::prelude::*;
 
     #[test]
     fn codebook_is_sorted_and_spans_unit_interval() {
@@ -575,34 +510,16 @@ mod tests {
     }
 
     /// The tiled product against the per-element reference `fused_dot`,
-    /// bit for bit, on every dispatch path at 1, 2 and 8 threads: n =
-    /// 1..=13 (so `n % TILE != 0` tails) at m = 1..=17 and 24, which run
-    /// up to three row groups and up to seven leftover rows; plus an n
-    /// that spans several column-parallel segments at m = 1..=9.
+    /// bit for bit, on every split `drive` runs
+    /// (`assert_every_path_is_the_reference`): up to three row groups and
+    /// up to seven leftover rows per tile.
     fn assert_tiled_matches_reference(k: usize) {
-        use policy::Dispatch;
-        for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
-            let q = QInt4Matrix::from_f32(&Matrix::rand_normal(n, k, 0.05, n as u64));
-            let ms: Vec<usize> =
-                if n > 13 { (1..=9).collect() } else { (1..=17).chain([24]).collect() };
-            for m in ms {
-                let x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
-                for threads in [1, 2, 8] {
-                    for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
-                        let y = rayon::with_num_threads(threads, || q.matmul_nt_on(&x, d));
-                        for r in 0..m {
-                            for c in 0..n {
-                                assert_eq!(
-                                    y.get(r, c).to_bits(),
-                                    q.fused_dot(x.row(r), c).to_bits(),
-                                    "({r},{c}) of m={m} n={n} k={k}, {d:?}, {threads} threads"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        assert_every_path_is_the_reference(
+            k,
+            |n| QInt4Matrix::from_f32(&Matrix::rand_normal(n, k, 0.05, n as u64)),
+            |q, x| q.matmul_nt(x),
+            |q, xr, c| q.fused_dot(xr, c),
+        );
     }
 
     #[test]

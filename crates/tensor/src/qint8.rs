@@ -16,9 +16,8 @@
 //! so it vectorizes; at `perfbench`'s `rag-int8` shapes (n = 64–512) the
 //! scalar `roundf` loop it replaced took about a quarter of the product.
 
-use crate::matmul::{dot, policy};
+use crate::matmul::{dequant_reference, dot, drive, policy};
 use crate::tensor::Matrix;
-use rayon::prelude::*;
 
 /// Integer dot product of an activation row and a code row, accumulated
 /// exactly in i32.
@@ -244,20 +243,7 @@ impl QInt8Matrix {
         }
     }
 
-    /// Dequantize into a caller-provided matrix (no allocation).
-    pub fn to_f32_into(&self, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, self.cols), "shape mismatch");
-        for r in 0..self.rows {
-            self.dequantize_row_into(r, out.row_mut(r));
-        }
-    }
-
-    /// Dequantize to f32 (test/inspection path).
-    pub fn to_f32(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.to_f32_into(&mut out);
-        out
-    }
+    dequant_reference!(dequantize_row_into);
 
     /// Quantize one activation row for the fused product, in one
     /// branch-free pass over its inlier features gathered contiguously
@@ -348,93 +334,37 @@ impl QInt8Matrix {
     /// the inlier product accumulates in i32 directly from the packed i8
     /// codes — no dequantized f32 weight row is ever materialized.
     ///
-    /// Activations are quantized per row to INT8 (absmax) exactly once and
-    /// shared across all weight rows. The same two-stream structure as the
-    /// LLM.int8() CUDA kernels. Deterministic for any thread count or
+    /// Activations are quantized per row to INT8 (absmax) exactly once per
+    /// call, inside the call's timer, and shared across all weight rows.
+    /// Every tile runs `fused_tile` over those rows: weight-tile
+    /// outer, batch-row inner, so each code tile is widened to i16 once per
+    /// tile call and every row of the tile reuses it. The same two-stream
+    /// structure as the LLM.int8() CUDA kernels. Split per
+    /// [`policy::matmul_int8_nt`]; deterministic for any thread count or
     /// dispatch path (the i32 stream is exact; the f32 outlier stream has a
     /// fixed per-element order).
     pub fn matmul_nt(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let (m, n) = (x.rows, self.rows);
-        if m == 0 || n == 0 {
-            return Matrix::zeros(m, n);
-        }
-        let dispatch = policy::matmul_int8_nt(m, n, self.cols, rayon::current_num_threads());
-        #[cfg(feature = "trace")]
-        let _t = edgellm_trace::kernels::timer(
-            crate::matmul::instrument::pick(
-                dispatch,
-                "qint8_nt.serial",
-                "qint8_nt.rows",
-                "qint8_nt.cols",
-            ),
-            (m * n) as u64 * self.cols as u64,
-        );
-        self.matmul_nt_on(x, dispatch)
-    }
-
-    /// [`Self::matmul_nt`] on a given dispatch path (`x` non-empty).
-    fn matmul_nt_on(&self, x: &Matrix, dispatch: policy::Dispatch) -> Matrix {
-        let (m, n) = (x.rows, self.rows);
-        let mut out = Matrix::zeros(m, n);
-        // Quantize every activation row up front (once per row, shared by
-        // all dispatch paths and weight rows).
-        let qrows: Vec<QuantizedRow> = {
-            #[cfg(feature = "trace")]
-            let _t = edgellm_trace::kernels::timer("qint8_nt.quantize", (m * self.cols) as u64);
-            (0..m).map(|r| self.quantize_row(x.row(r))).collect()
-        };
-        // Every path runs `fused_tile`: weight-tile outer, batch-row inner,
-        // so each code tile is widened to i16 once per call (once per
-        // block or segment on the parallel paths) and every row of the
-        // block reuses it. Loop order cannot change the bits — each
-        // element depends only on its own (activation row, weight row)
-        // pair.
-        match dispatch {
-            policy::Dispatch::Serial => self.fused_tile(&qrows, 0, n, out.as_mut_slice(), n),
-            policy::Dispatch::RowParallel => {
-                let rpu = m.div_ceil(rayon::current_num_threads()).clamp(1, 8);
-                out.as_mut_slice().par_chunks_mut(n * rpu).enumerate().for_each(|(b, blk)| {
-                    let r0 = b * rpu;
-                    self.fused_tile(&qrows[r0..r0 + blk.len() / n], 0, n, blk, n);
-                });
+        let labels = ["qint8_nt.serial", "qint8_nt.rows", "qint8_nt.cols"];
+        drive(policy::matmul_int8_nt, labels, (x.rows, self.rows, self.cols), || {
+            let qrows: Vec<QuantizedRow> = {
+                #[cfg(feature = "trace")]
+                let _t =
+                    edgellm_trace::kernels::timer("qint8_nt.quantize", (x.rows * self.cols) as u64);
+                (0..x.rows).map(|r| self.quantize_row(x.row(r))).collect()
+            };
+            move |r0, rows, c0, cols, out, stride| {
+                self.fused_tile(&qrows[r0..r0 + rows], c0, cols, out, stride)
             }
-            policy::Dispatch::ColParallel => {
-                for r in 0..m {
-                    out.row_mut(r).par_chunks_mut(policy::COL_BLOCK).enumerate().for_each(
-                        |(cb, seg)| {
-                            let c0 = cb * policy::COL_BLOCK;
-                            self.fused_tile(&qrows[r..r + 1], c0, seg.len(), seg, seg.len());
-                        },
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Reference dequantize-then-dot product: each weight row is expanded
-    /// to f32 in a single reused scratch buffer, then dotted against the
-    /// full-precision activations. Kept for benchmarking the fusion win and
-    /// for accuracy cross-checks (this path does *not* quantize
-    /// activations).
-    pub fn matmul_nt_dequant(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols, self.cols, "inner dimensions must match");
-        let mut out = Matrix::zeros(x.rows, self.rows);
-        let mut wrow = vec![0.0f32; self.cols];
-        for c in 0..self.rows {
-            self.dequantize_row_into(c, &mut wrow);
-            for r in 0..x.rows {
-                out.set(r, c, dot(x.row(r), &wrow));
-            }
-        }
-        out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::tests::assert_every_path_is_the_reference;
+    use rayon::prelude::*;
 
     #[test]
     fn roundtrip_error_bounded_by_half_step() {
@@ -549,16 +479,13 @@ mod tests {
     }
 
     /// The tiled product against the per-element reference `fused_elem`
-    /// over [`reference_row`]'s quantization, bit for bit, on every
-    /// dispatch path at 1, 2 and 8 threads: m = 1..=9
-    /// and n = 1..=13 (so `n % TILE != 0` tails), plus an n that spans
-    /// several column-parallel segments. `k` inputs per row, two of them
-    /// planted outlier columns when `outliers` is set; those are detected
-    /// at a factor of 2, since at 6 two planted columns cannot stand out
-    /// from a mean over k ≤ 12 columns.
+    /// over [`reference_row`]'s quantization, bit for bit, on every split
+    /// `drive` runs (`assert_every_path_is_the_reference`). `k` inputs
+    /// per row, two of them planted outlier columns when `outliers` is
+    /// set; those are detected at a factor of 2, since at 6 two planted
+    /// columns cannot stand out from a mean over k ≤ 12 columns.
     fn assert_tiled_matches_reference(k: usize, outliers: bool) {
-        use policy::Dispatch;
-        for n in (1..=13).chain([2 * policy::COL_BLOCK + 5]) {
+        let weights = |n| {
             let mut w = Matrix::rand_kaiming(n, k, n as u64);
             if outliers {
                 for r in 0..n {
@@ -569,34 +496,14 @@ mod tests {
             let factor = if outliers { 2.0 } else { DEFAULT_OUTLIER_FACTOR };
             let q = QInt8Matrix::from_f32_with_factor(&w, factor);
             assert_eq!(q.n_outliers(), if outliers { 2 } else { 0 }, "k={k} n={n}");
-            let max_m = if n > 13 { 2 } else { 9 };
-            for m in 1..=max_m {
-                let mut x = Matrix::rand_normal(m, k, 1.0, (m * 31 + n) as u64);
-                // The last row has absmax 127, so `xs = 1` and its entries
-                // at ±k.5 reach the rounding as exact ties.
-                for (j, v) in x.row_mut(m - 1).iter_mut().enumerate() {
-                    let tie = (j % 127) as f32 + 0.5;
-                    *v = if j % 2 == 0 { tie } else { -tie };
-                }
-                x.row_mut(m - 1)[0] = 127.0;
-                let qrows: Vec<QuantizedRow> =
-                    (0..m).map(|r| reference_row(&q, x.row(r))).collect();
-                for threads in [1, 2, 8] {
-                    for d in [Dispatch::Serial, Dispatch::RowParallel, Dispatch::ColParallel] {
-                        let y = rayon::with_num_threads(threads, || q.matmul_nt_on(&x, d));
-                        for (r, qr) in qrows.iter().enumerate() {
-                            for c in 0..n {
-                                assert_eq!(
-                                    y.get(r, c).to_bits(),
-                                    q.fused_elem(qr, c).to_bits(),
-                                    "({r},{c}) of m={m} n={n} k={k}, {d:?}, {threads} threads"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
+            q
+        };
+        assert_every_path_is_the_reference(
+            k,
+            weights,
+            |q, x| q.matmul_nt(x),
+            |q, xr, c| q.fused_elem(&reference_row(q, xr), c),
+        );
     }
 
     /// k = 7 is below one `LANES` chunk (tail only), 16 exactly one chunk,

@@ -115,11 +115,6 @@ impl Matrix {
         out
     }
 
-    /// Fill with zeros in place (for gradient buffers).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
